@@ -87,6 +87,8 @@ def hypergeom_binom_tv(n: int, k: int, t: int) -> TVReport:
     The bound is only claimed when (k/n)(1-k/n)t >= 1; the report records
     whether that held.
     """
+    if n < 1:
+        raise ValueError(f"Binomial(t, k/n) needs n >= 1, got n={n}")
     hyp = hypergeom_pmf(n, k, t)
     p = Fraction(k, n)
     binom = binom_pmf(t, p)

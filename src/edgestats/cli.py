@@ -34,14 +34,8 @@ from .anticonc import (
 from .coupling import check_sign_expansion, sample_coupling
 from .cover import greedy_cover, verify_cover
 from .discrepancy import signed_discrepancy
-from .hypergraph import (
-    Hypergraph,
-    construct_lift,
-    construct_split,
-    format_hg,
-    parse_hg,
-)
-from .multilinear import MultilinearPoly, parse_mlp
+from .hypergraph import construct_lift, construct_split, format_hg, parse_hg
+from .multilinear import parse_mlp
 from .profiles import estimate_point, exact_profile
 from .serialize import parse_rational
 
@@ -52,22 +46,9 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_graph(path_str: str) -> tuple[Hypergraph, str]:
+def _load(path_str: str, parse):
     path = Path(path_str)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path_str}: {exc}") from exc
-    return parse_hg(text), _digest(path)
-
-
-def _load_poly(path_str: str) -> tuple[MultilinearPoly, str]:
-    path = Path(path_str)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path_str}: {exc}") from exc
-    return parse_mlp(text), _digest(path)
+    return parse(path.read_text()), _digest(path)
 
 
 def _parse_vertex_list(text: str, label: str) -> tuple[int, ...]:
@@ -91,10 +72,6 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
 def _report(command: str, params: dict, results: dict, violations: list[str], **extra) -> dict:
     report = {
         "command": command,
@@ -107,27 +84,25 @@ def _report(command: str, params: dict, results: dict, violations: list[str], **
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns the process exit code.
+# Command handlers.  Each returns its report; main emits it.
 
 
-def _cmd_profile(args) -> int:
-    graph, digest = _load_graph(args.input)
+def _cmd_profile(args) -> dict:
+    graph, digest = _load(args.input, parse_hg)
     profile = exact_profile(graph, args.k, max_subsets=args.max_subsets)
-    report = _report(
+    return _report(
         "profile",
         {"input": args.input, "k": args.k, "max_subsets": args.max_subsets},
         profile.to_json_dict(),
         [],
         input_digest=digest,
     )
-    _emit(report)
-    return 0
 
 
-def _cmd_estimate(args) -> int:
-    graph, digest = _load_graph(args.input)
+def _cmd_estimate(args) -> dict:
+    graph, digest = _load(args.input, parse_hg)
     est = estimate_point(graph, args.k, args.level, args.samples, args.seed)
-    report = _report(
+    return _report(
         "estimate",
         {
             "input": args.input,
@@ -140,11 +115,9 @@ def _cmd_estimate(args) -> int:
         input_digest=digest,
         seed=args.seed,
     )
-    _emit(report)
-    return 0
 
 
-def _cmd_construct_lift(args) -> int:
+def _cmd_construct_lift(args) -> dict:
     built = construct_lift(args.n, args.k, args.s, args.r, args.seed)
     out = Path(args.out)
     out.write_text(format_hg(built.graph))
@@ -157,18 +130,16 @@ def _cmd_construct_lift(args) -> int:
         "out": args.out,
         "out_digest": _digest(out),
     }
-    report = _report(
+    return _report(
         "construct lift",
         {"n": args.n, "k": args.k, "s": args.s, "r": args.r, "out": args.out},
         results,
         [],
         seed=args.seed,
     )
-    _emit(report)
-    return 0
 
 
-def _cmd_construct_split(args) -> int:
+def _cmd_construct_split(args) -> dict:
     side = _parse_vertex_list(args.side, "--side")
     graph = construct_split(args.n, side, args.r)
     out = Path(args.out)
@@ -181,18 +152,16 @@ def _cmd_construct_split(args) -> int:
         "out": args.out,
         "out_digest": _digest(out),
     }
-    report = _report(
+    return _report(
         "construct split",
         {"n": args.n, "side": sorted(set(side)), "r": args.r, "out": args.out},
         results,
         [],
     )
-    _emit(report)
-    return 0
 
 
-def _cmd_coupling_check(args) -> int:
-    poly, digest = _load_poly(args.input)
+def _cmd_coupling_check(args) -> dict:
+    poly, digest = _load(args.input, parse_mlp)
     params: dict = {"input": args.input}
     extra: dict = {"input_digest": digest}
     if args.pairs is not None:
@@ -216,45 +185,39 @@ def _cmd_coupling_check(args) -> int:
         violations.append(
             f"sign expansion mismatch: max |discrepancy| = {rep.max_abs_discrepancy}"
         )
-    report = _report("coupling-check", params, rep.to_json_dict(), violations, **extra)
-    _emit(report)
-    return 1 if violations else 0
+    return _report("coupling-check", params, rep.to_json_dict(), violations, **extra)
 
 
-def _cmd_discrepancy(args) -> int:
-    graph, digest = _load_graph(args.input)
+def _cmd_discrepancy(args) -> dict:
+    graph, digest = _load(args.input, parse_hg)
     rep = signed_discrepancy(
         graph, args.s, term_cap=args.term_cap, collect_weights=args.top > 0
     )
     results = rep.to_json_dict(top=args.top) if args.top > 0 else rep.to_json_dict()
-    report = _report(
+    return _report(
         "discrepancy",
         {"input": args.input, "s": args.s, "term_cap": args.term_cap, "top": args.top},
         results,
         [],
         input_digest=digest,
     )
-    _emit(report)
-    return 0
 
 
-def _cmd_anticonc_ehm(args) -> int:
+def _cmd_anticonc_ehm(args) -> dict:
     rep = hypergeom_binom_tv(args.n, args.k, args.t)
     violations = []
     if rep.violated:
         violations.append(f"tv {rep.tv} exceeds bound {rep.bound}")
-    report = _report(
+    return _report(
         "anticonc ehm",
         {"n": args.n, "k": args.k, "t": args.t},
         rep.to_json_dict(),
         violations,
     )
-    _emit(report)
-    return 1 if violations else 0
 
 
-def _cmd_anticonc_poisson(args) -> int:
-    poly, digest = _load_poly(args.input)
+def _cmd_anticonc_poisson(args) -> dict:
+    poly, digest = _load(args.input, parse_mlp)
     p = parse_rational(args.p)
     level = parse_rational(args.level)
     radius = parse_rational(args.radius)
@@ -265,7 +228,7 @@ def _cmd_anticonc_poisson(args) -> int:
         violations.append(
             f"interval mass {rep.probability} exceeds binomial bound {rep.binomial_bound}"
         )
-    report = _report(
+    return _report(
         "anticonc poisson",
         {
             "input": args.input,
@@ -278,12 +241,10 @@ def _cmd_anticonc_poisson(args) -> int:
         violations,
         input_digest=digest,
     )
-    _emit(report)
-    return 1 if violations else 0
 
 
-def _cmd_anticonc_junta_tv(args) -> int:
-    poly, digest = _load_poly(args.input)
+def _cmd_anticonc_junta_tv(args) -> dict:
+    poly, digest = _load(args.input, parse_mlp)
     coords = poly.active_variables
     table = {}
     for size in range(len(coords) + 1):
@@ -296,50 +257,44 @@ def _cmd_anticonc_junta_tv(args) -> int:
     violations = []
     if rep.violated:
         violations.append(f"tv {rep.tv} exceeds bound {rep.bound}")
-    report = _report(
+    return _report(
         "anticonc junta-tv",
         {"input": args.input, "n": args.n, "k": args.k, "coords": list(coords)},
         rep.to_json_dict(),
         violations,
         input_digest=digest,
     )
-    _emit(report)
-    return 1 if violations else 0
 
 
-def _cmd_anticonc_moments(args) -> int:
-    poly, digest = _load_poly(args.input)
+def _cmd_anticonc_moments(args) -> dict:
+    poly, digest = _load(args.input, parse_mlp)
     moments = slice_moments(poly, args.n, args.k)
-    report = _report(
+    return _report(
         "anticonc moments",
         {"input": args.input, "n": args.n, "k": args.k},
         moments.to_json_dict(),
         [],
         input_digest=digest,
     )
-    _emit(report)
-    return 0
 
 
-def _cmd_cover_run(args) -> int:
-    graph, digest = _load_graph(args.input)
+def _cmd_cover_run(args) -> dict:
+    graph, digest = _load(args.input, parse_hg)
     cert = greedy_cover(graph, args.m, step_cap=args.step_cap)
     violations = []
     if not cert.terminated:
         violations.append(f"step cap {cert.step_cap} reached before termination")
-    report = _report(
+    return _report(
         "cover run",
         {"input": args.input, "m": args.m, "step_cap": cert.step_cap},
         cert.to_json_dict(),
         violations,
         input_digest=digest,
     )
-    _emit(report)
-    return 1 if violations else 0
 
 
-def _cmd_cover_verify(args) -> int:
-    graph, digest = _load_graph(args.input)
+def _cmd_cover_verify(args) -> dict:
+    graph, digest = _load(args.input, parse_hg)
     pivot = _parse_vertex_list(args.pivot, "--pivot")
     ver = verify_cover(graph, pivot, args.m)
     violations = []
@@ -352,18 +307,16 @@ def _cmd_cover_verify(args) -> int:
                 else ""
             )
         )
-    report = _report(
+    return _report(
         "cover verify",
         {"input": args.input, "pivot": sorted(set(pivot)), "m": args.m},
         ver.to_json_dict(),
         violations,
         input_digest=digest,
     )
-    _emit(report)
-    return 1 if violations else 0
 
 
-def _cmd_suite_acceptance(args) -> int:
+def _cmd_suite_acceptance(args) -> dict:
     only = None
     if args.only is not None:
         only = [int(tok) for tok in args.only.replace(",", " ").split()]
@@ -372,14 +325,12 @@ def _cmd_suite_acceptance(args) -> int:
             raise ValueError(f"unknown criteria: {unknown}")
     results = run_all(only, report=lambda line: print(line, file=sys.stderr))
     failures = [r for r in results if not r.ok]
-    report = _report(
+    return _report(
         "suite acceptance",
         {"only": sorted(set(only)) if only is not None else sorted(CRITERIA)},
         {"criteria": [r.to_json_dict() for r in results]},
         [f"criterion {r.index} failed: {r.name}" for r in failures],
     )
-    _emit(report)
-    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +451,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        report = args.func(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 1 if report["violations"] else 0
 
 
 if __name__ == "__main__":

@@ -112,12 +112,7 @@ def signed_discrepancy(
     total_sets = comb(n, r)
     if len(scan) > total_sets // 2 and total_sets <= _COMPLEMENT_MATERIALIZE_CAP:
         # Same weights, fewer sets to scan per sequence.
-        present = graph.edge_set
-        scan = [
-            frozenset(w)
-            for w in itertools.combinations(range(1, n + 1), r)
-            if w not in present
-        ]
+        scan = [frozenset(w) for w in graph.complement().edges]
 
     bound = 2**s * n ** (r - s)
     total = 0

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .rng import bernoulli, new_generator
 
@@ -124,24 +124,39 @@ def _trusted(n: int, r: int, sorted_edges: list[Edge]) -> Hypergraph:
     return Hypergraph(n, r, tuple(sorted_edges))
 
 
-def induced_edge_count(graph: Hypergraph, subset: Iterable[int]) -> int:
-    """Number of edges of ``graph`` contained in ``subset``.
+def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int]:
+    """The induced-count kernel: a function counting the edges of ``graph``
+    inside an ascending sequence of ``size`` vertices.
 
-    Picks the cheaper of two exact strategies: scan the edge list, or
-    enumerate the r-subsets of ``subset`` against the membership index.
+    Picks the cheaper of two exact strategies once: scan the edge list
+    when it holds at most C(size, r) edges, otherwise enumerate the
+    r-subsets of the sequence against the membership index.  Only the
+    second strategy builds ``edge_set``.
     """
-    u = frozenset(subset)
-    if not u <= frozenset(range(1, graph.n + 1)):
-        bad = sorted(u - frozenset(range(1, graph.n + 1)))
+    r = graph.r
+    if graph.edge_count <= comb(size, r):
+        edges = graph.edges
+
+        def count(u: Sequence[int]) -> int:
+            uset = frozenset(u)
+            return sum(1 for e in edges if uset.issuperset(e))
+
+    else:
+        members = graph.edge_set
+
+        def count(u: Sequence[int]) -> int:
+            return sum(1 for w in itertools.combinations(u, r) if w in members)
+
+    return count
+
+
+def induced_edge_count(graph: Hypergraph, subset: Iterable[int]) -> int:
+    """Number of edges of ``graph`` contained in ``subset``."""
+    u = sorted(set(subset))
+    if u and (u[0] < 1 or u[-1] > graph.n):
+        bad = [v for v in u if not 1 <= v <= graph.n]
         raise ValueError(f"subset contains vertices outside [1..{graph.n}]: {bad}")
-    if len(u) < graph.r:
-        return 0
-    inside = comb(len(u), graph.r)
-    if graph.edge_count <= inside:
-        return sum(1 for e in graph.edges if u.issuperset(e))
-    members = graph.edge_set
-    ordered = sorted(u)
-    return sum(1 for w in itertools.combinations(ordered, graph.r) if w in members)
+    return _edge_counter(graph, len(u))(u)
 
 
 def induced_subgraph(graph: Hypergraph, subset: Iterable[int], *, relabel: bool = True) -> Hypergraph:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _edge_counter
 from .multilinear import MultilinearPoly
 from .rng import new_generator, sample_ordered
 from .serialize import format_int, format_rational, parse_int
@@ -84,14 +84,9 @@ def exact_profile(graph: Hypergraph, k: int, *, max_subsets: int = DEFAULT_PROFI
             f"{max_subsets}; raise max_subsets or use estimate_point"
         )
     counts: dict[int, int] = {}
-    scan_edges = graph.edge_count <= comb(k, graph.r)
-    members = None if scan_edges else graph.edge_set
+    count = _edge_counter(graph, k)
     for u in itertools.combinations(range(1, graph.n + 1), k):
-        if scan_edges:
-            uset = frozenset(u)
-            c = sum(1 for e in graph.edges if uset.issuperset(e))
-        else:
-            c = sum(1 for w in itertools.combinations(u, graph.r) if w in members)
+        c = count(u)
         counts[c] = counts.get(c, 0) + 1
     return EdgeProfile(graph.n, k, counts, total)
 
@@ -138,20 +133,12 @@ def estimate_point(graph: Hypergraph, k: int, level: int, samples: int, seed: in
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = new_generator(seed)
-    r = graph.r
-    use_subsets = comb(k, r) < graph.edge_count
-    members = graph.edge_set if use_subsets else None
-    edges = None if use_subsets else graph.edges
+    count = _edge_counter(graph, k)
     hits = 0
     for _ in range(samples):
         u = sample_ordered(rng, graph.n, k)
-        if use_subsets:
-            u.sort()
-            c = sum(1 for w in itertools.combinations(u, r) if w in members)
-        else:
-            uset = frozenset(u)
-            c = sum(1 for e in edges if uset.issuperset(e))
-        if c == level:
+        u.sort()
+        if count(u) == level:
             hits += 1
     return PointEstimate(graph.n, k, level, samples, hits, seed)
 

@@ -54,6 +54,12 @@ def test_tv_vanishes_for_single_draws():
             assert hypergeom_binom_tv(n, k, 1).tv == 0
 
 
+def test_tv_rejects_an_empty_ground_set():
+    # Binomial(t, k/n) has no rate at n = 0.
+    with pytest.raises(ValueError, match="n >= 1"):
+        hypergeom_binom_tv(0, 0, 0)
+
+
 def test_tv_bound_holds_across_a_sweep():
     for n in range(2, 26):
         for k in range(0, n + 1):

@@ -301,3 +301,26 @@ def test_malformed_pair_token(poly_path, capsys):
     )
     assert code == 2
     assert "a,b" in err
+
+
+def test_anticonc_ehm_on_an_empty_ground_set_is_a_usage_error(capsys):
+    code, out, err = run_cli(["anticonc", "ehm", "--n", "0", "--k", "0", "--t", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "construction",
+    [
+        ["split", "--n", "4", "--side", "1 2", "--r", "2"],
+        ["lift", "--n", "6", "--k", "4", "--s", "1", "--r", "2", "--seed", "0"],
+    ],
+)
+def test_construct_into_a_missing_directory_is_a_usage_error(tmp_path, capsys, construction):
+    out_path = tmp_path / "missing" / "g.hg"
+    code, out, err = run_cli(["construct", *construction, "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not out_path.parent.exists()

@@ -2,6 +2,7 @@
 exact conditional-expectation tables."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -15,7 +16,7 @@ from edgestats.hypergraph import (
     random_hypergraph,
 )
 from edgestats.profiles import conditional_junta, estimate_point, exact_profile
-from edgestats.rng import new_generator, rand_below
+from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
 def c5():
@@ -134,6 +135,31 @@ def test_estimate_convergence_battery():
         if abs(float(est.estimate - truth)) <= est.half_width:
             covered += 1
     assert covered >= 93
+
+
+@pytest.mark.parametrize("n, r, k", [(7, 2, 4), (7, 3, 5)])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_counting_kernel_at_its_switch_point(n, r, k, extra):
+    """A graph with C(k, r) edges is counted by scanning its edge list,
+    one edge more switches to enumerating r-subsets; both strategies
+    agree with brute force in profiles and in seeded estimates."""
+    rng = new_generator(100 * r + extra)
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    edges = [pool.pop(rand_below(rng, len(pool))) for _ in range(comb(k, r) + extra)]
+    g = from_edges(n, r, edges)
+
+    def brute(u):
+        return sum(1 for e in edges if set(e) <= set(u))
+
+    want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
+    assert dict(exact_profile(g, k).counts) == want
+    # Only the enumerating strategy builds the membership index.
+    assert (g._edge_set is not None) == bool(extra)
+
+    level = max(want, key=want.get)
+    est = estimate_point(g, k, level, 300, seed=5)
+    replay = new_generator(5)
+    assert est.hits == sum(brute(sample_ordered(replay, n, k)) == level for _ in range(300))
 
 
 # ---------------------------------------------------------------------------
