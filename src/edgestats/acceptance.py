@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Callable
@@ -48,7 +48,7 @@ class CriterionResult:
     name: str
     ok: bool
     detail: str
-    elapsed: float
+    elapsed: float = 0.0  # wall seconds, measured by run_criterion
 
     @property
     def line(self) -> str:
@@ -88,7 +88,6 @@ def _coupling_battery():
 
 def criterion_1() -> CriterionResult:
     """Sign-expansion identity, exactly, on 200 seeded random instances."""
-    t0 = time.time()
     battery = _coupling_battery()
     worst = max(rep.max_abs_discrepancy for *_, rep in battery)
     checked = sum(rep.assignments_checked for *_, rep in battery)
@@ -98,14 +97,12 @@ def criterion_1() -> CriterionResult:
         "coupling identity",
         ok,
         f"200 instances, {checked} sign vectors, max |discrepancy| = {worst}",
-        time.time() - t0,
     )
 
 
 def criterion_2() -> CriterionResult:
     """Hypergeometric-vs-binomial TV against (t-1)/(n-1) wherever the
     variance precondition holds, n <= 30, plus the frozen spot values."""
-    t0 = time.time()
     violations = []
     checked = 0
     for n in range(1, 31):
@@ -127,7 +124,6 @@ def criterion_2() -> CriterionResult:
         ok,
         f"{checked} applicable triples, {len(violations)} violations; "
         f"spot tv(8,4,4) = {spot.tv}",
-        time.time() - t0,
     )
 
 
@@ -149,7 +145,6 @@ def _random_sparse_poly(rng, max_vars: int = 10) -> MultilinearPoly:
 def criterion_3() -> CriterionResult:
     """Poisson-type interval bound: 500 seeded nonnegative sparse
     polynomials, both p values, in the regime level > 3^s * radius."""
-    t0 = time.time()
     rng = new_generator(3003)
     failures = 0
     checked = 0
@@ -170,14 +165,12 @@ def criterion_3() -> CriterionResult:
         "Poisson-type interval bound battery",
         ok,
         f"{checked} checks (500 polynomials x 2 input rates), {failures} violations",
-        time.time() - t0,
     )
 
 
 def criterion_4() -> CriterionResult:
     """Exact covariance signs for disjoint monomials and the vanishing
     variance of the full coordinate sum, all n <= 10."""
-    t0 = time.time()
     bad = []
     checked = 0
     for n in range(1, 11):
@@ -201,14 +194,12 @@ def criterion_4() -> CriterionResult:
         ok,
         f"{checked} disjoint covariances nonpositive, coordinate-sum variance 0; "
         f"{len(bad)} failures",
-        time.time() - t0,
     )
 
 
 def criterion_5() -> CriterionResult:
     """Lift construction at scale: the empirical point probability at the
     target level agrees with the independence limit and beats 1/e."""
-    t0 = time.time()
     lifted = construct_lift(2000, 20, 1, 2, seed=55)
     target = Fraction(19, 20) ** 19
     est = estimate_point(lifted.graph, 20, lifted.level, 100000, seed=56)
@@ -221,14 +212,12 @@ def criterion_5() -> CriterionResult:
         ok,
         f"level {lifted.level}, estimate {float(est.estimate):.5f}, "
         f"limit {float(target):.5f}, |gap| = {gap:.5f}, above 1/e: {above_e}",
-        time.time() - t0,
     )
 
 
 def criterion_6() -> CriterionResult:
     """Split construction at scale: empirical mass at level 30 vs the
     exact binomial limit over every level-attaining overlap count."""
-    t0 = time.time()
     graph = construct_split(400, range(1, 101), 3)
     level = split_target_level(8, 2, 3)
     attaining = [j for j in range(9) if split_target_level(8, j, 3) == level]
@@ -245,14 +234,12 @@ def criterion_6() -> CriterionResult:
         ok,
         f"level {level} attained at overlaps {attaining}, estimate "
         f"{float(est.estimate):.5f}, limit {float(limit):.5f} = {limit}, |gap| = {gap:.5f}",
-        time.time() - t0,
     )
 
 
 def criterion_7() -> CriterionResult:
     """The coordinate sum's largest Rademacher point mass is exactly the
     central binomial ratio for every m <= 20."""
-    t0 = time.time()
     bad = []
     for m in range(1, 21):
         poly = MultilinearPoly.from_terms(m, {(i,): 1 for i in range(1, m + 1)})
@@ -265,14 +252,12 @@ def criterion_7() -> CriterionResult:
         "coordinate-sum extremal point mass",
         ok,
         f"m = 1..20 exact central binomial ratios; failures: {bad}",
-        time.time() - t0,
     )
 
 
 def criterion_8() -> CriterionResult:
     """Greedy cover soundness: 300 seeded random 3-uniform graphs, every
     certificate terminates under the default cap and verifies."""
-    t0 = time.time()
     rng = new_generator(8008)
     failures = 0
     pivot_sizes = []
@@ -294,7 +279,6 @@ def criterion_8() -> CriterionResult:
         "greedy cover soundness battery",
         ok,
         f"300 instances, {failures} failures, largest pivot {biggest}",
-        time.time() - t0,
     )
 
 
@@ -302,7 +286,6 @@ def criterion_9() -> CriterionResult:
     """Discrepancy totals: 0 for complete and empty graphs (r <= 3,
     n <= 8, every s), 8 for the single-edge spot, with every per-sequence
     weight checked against its size bound during enumeration."""
-    t0 = time.time()
     bad = []
     sequences = 0
     for r in range(1, 4):
@@ -328,14 +311,12 @@ def criterion_9() -> CriterionResult:
         "discrepancy vanishing and spot totals",
         ok,
         f"{sequences} sequences enumerated under the per-sequence bound; failures: {bad}",
-        time.time() - t0,
     )
 
 
 def criterion_10() -> CriterionResult:
     """Junta slice-vs-product TV bound over the full (n, k, s) sweep with
     50 seeded random tables per cell."""
-    t0 = time.time()
     rng = new_generator(1010)
     failures = 0
     checked = 0
@@ -359,14 +340,12 @@ def criterion_10() -> CriterionResult:
         "junta TV bound sweep",
         ok,
         f"{checked} tables across n <= 16, k <= n/2, s <= 3; {failures} violations",
-        time.time() - t0,
     )
 
 
 def criterion_11() -> CriterionResult:
     """Every sign-expansion coefficient from the criterion-1 battery obeys
     the size bound q 2^|I| n^(d-|I|) and vanishes beyond the degree."""
-    t0 = time.time()
     battery = _coupling_battery()
     failures = 0
     checked = 0
@@ -386,7 +365,6 @@ def criterion_11() -> CriterionResult:
         "sign-expansion coefficient size bounds",
         ok,
         f"{checked} coefficients against q 2^|I| n^(d-|I|); {failures} violations",
-        time.time() - t0,
     )
 
 
@@ -408,7 +386,9 @@ CRITERIA: dict[int, Callable[[], CriterionResult]] = {
 def run_criterion(index: int) -> CriterionResult:
     if index not in CRITERIA:
         raise ValueError(f"no acceptance criterion numbered {index}")
-    return CRITERIA[index]()
+    start = time.perf_counter()
+    result = CRITERIA[index]()
+    return replace(result, elapsed=time.perf_counter() - start)
 
 
 def run_all(only: list[int] | None = None, report=print) -> list[CriterionResult]:

@@ -298,15 +298,10 @@ def _cmd_cover_verify(args) -> dict:
     pivot = _parse_vertex_list(args.pivot, "--pivot")
     ver = verify_cover(graph, pivot, args.m)
     violations = []
-    if not ver.ok:
-        violations.append(
-            f"cover fails at subset {list(ver.failing_subset)}"
-            + (
-                f" (uncovered edge {list(ver.failing_edge)})"
-                if ver.failing_edge is not None
-                else ""
-            )
-        )
+    if ver.failing_edge is not None:
+        violations.append(f"pivot misses edge {list(ver.failing_edge)}")
+    elif not ver.ok:
+        violations.append(f"cover fails at subset {list(ver.failing_subset)}")
     return _report(
         "cover verify",
         {"input": args.input, "pivot": sorted(set(pivot)), "m": args.m},

@@ -50,6 +50,31 @@ def _check_pivot(graph: Hypergraph, pivot: Iterable[int], label: str) -> frozens
     return p
 
 
+def _trace_groups(graph: Hypergraph, y: frozenset[int]) -> dict[Trace, set[frozenset[int]]]:
+    """One pass over the edges: each residue e - (e cap Y), grouped by its
+    exact trace e cap Y (as an ascending tuple)."""
+    groups: dict[Trace, set[frozenset[int]]] = {}
+    for e in graph.edges:
+        es = frozenset(e)
+        s = es & y
+        groups.setdefault(tuple(sorted(s)), set()).add(es - s)
+    return groups
+
+
+def _minimal_traces(groups: dict[Trace, set[frozenset[int]]]) -> list[Trace]:
+    """The traces with no proper subtrace among the groups, sorted by
+    (size, lexicographic)."""
+    out = [
+        s
+        for s in groups
+        if not any(
+            sub in groups for size in range(len(s)) for sub in itertools.combinations(s, size)
+        )
+    ]
+    out.sort(key=lambda t: (len(t), t))
+    return out
+
+
 def edge_residues(graph: Hypergraph, pivot: Iterable[int], trace: Iterable[int]) -> frozenset[frozenset[int]]:
     """Residues e - S of the edges whose exact pivot intersection is S.
 
@@ -60,12 +85,7 @@ def edge_residues(graph: Hypergraph, pivot: Iterable[int], trace: Iterable[int])
     s = frozenset(trace)
     if not s <= y:
         raise ValueError(f"trace {sorted(s)} is not a subset of the pivot {sorted(y)}")
-    out = set()
-    for e in graph.edges:
-        es = frozenset(e)
-        if es & y == s:
-            out.add(es - s)
-    return frozenset(out)
+    return frozenset(_trace_groups(graph, y).get(tuple(sorted(s)), ()))
 
 
 def relevant_sets(graph: Hypergraph, pivot: Iterable[int]) -> list[Trace]:
@@ -76,20 +96,7 @@ def relevant_sets(graph: Hypergraph, pivot: Iterable[int]) -> list[Trace]:
     those are the only candidates; a candidate is relevant exactly when
     no proper subset is also a candidate.
     """
-    y = _check_pivot(graph, pivot, "pivot")
-    candidates = {tuple(sorted(frozenset(e) & y)) for e in graph.edges}
-    cand_set = set(candidates)
-    out = []
-    for s in candidates:
-        if any(
-            sub in cand_set
-            for size in range(len(s))
-            for sub in itertools.combinations(s, size)
-        ):
-            continue
-        out.append(s)
-    out.sort(key=lambda t: (len(t), t))
-    return out
+    return _minimal_traces(_trace_groups(graph, _check_pivot(graph, pivot, "pivot")))
 
 
 @dataclass(frozen=True)
@@ -196,15 +203,18 @@ def default_step_cap(r: int, m: int) -> int:
     return 10 * (r * m) ** (r + 2)
 
 
-def _bad_traces(graph: Hypergraph, pivot: frozenset[int], m: int) -> list[tuple[Trace, frozenset[frozenset[int]]]]:
-    out = []
-    for s in relevant_sets(graph, sorted(pivot)):
+def _first_bad_trace(graph: Hypergraph, pivot: frozenset[int], m: int) -> tuple[Trace, tuple[Trace, ...]] | None:
+    """The first relevant trace, in (size, lex) order, whose residue
+    family's maximum matching has fewer than m edges, with that matching;
+    None when no trace is bad.  Full traces (|S| = r) are never bad."""
+    groups = _trace_groups(graph, pivot)
+    for s in _minimal_traces(groups):
         if len(s) >= graph.r:
             continue
-        fam = edge_residues(graph, sorted(pivot), s)
-        if matching_number(fam) <= m - 1:
-            out.append((s, fam))
-    return out
+        matching = lex_min_maximum_matching(groups[s])
+        if len(matching) < m:
+            return s, matching
+    return None
 
 
 def greedy_cover(graph: Hypergraph, m: int, step_cap: int | None = None) -> CoverCertificate:
@@ -225,14 +235,13 @@ def greedy_cover(graph: Hypergraph, m: int, step_cap: int | None = None) -> Cove
     steps: list[CoverStep] = []
     terminated = False
     while True:
-        bad = _bad_traces(graph, pivot, m)
-        if not bad:
+        bad = _first_bad_trace(graph, pivot, m)
+        if bad is None:
             terminated = True
             break
         if len(steps) >= cap:
             break
-        trace, fam = bad[0]
-        matching = lex_min_maximum_matching(fam)
+        trace, matching = bad
         added = tuple(sorted(set().union(*matching)))
         steps.append(CoverStep(tuple(sorted(pivot)), trace, matching, added))
         pivot = pivot | set(added)

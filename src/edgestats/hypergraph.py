@@ -188,70 +188,59 @@ def _as_edge_tuples(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> lis
     return sorted(out)
 
 
-def matching_number(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> int:
-    """Maximum number of pairwise vertex-disjoint edges, exactly.
+def _maximum_matching(edges: list[Edge]) -> tuple[Edge, ...]:
+    """The lexicographically least maximum matching of a sorted,
+    duplicate-free list of nonempty edges.
 
-    Accepts a Hypergraph or any iterable of edges, mixed sizes allowed
-    (the cover machinery calls it on residue families).  Branch and bound
-    on the lexicographically smallest available edge; a greedy matching
-    seeds the incumbent and two cheap upper bounds prune.
+    Branch and bound on the smallest available edge, with an explicit
+    stack so the depth is not tied to the edge count.  Each edge is taken
+    before it is skipped, so matchings of equal size are met in
+    lexicographic order and only a strictly larger one replaces the
+    incumbent.  A greedy matching seeds the incumbent (it is the first
+    matching that order meets); a branch is cut when neither its edge
+    count nor its free vertices over the smallest edge size can beat it.
     """
-    edges = _as_edge_tuples(graph_or_edges)
     if not edges:
-        return 0
+        return ()
     min_size = min(len(e) for e in edges)
 
-    # Greedy incumbent over the lex-sorted list.
-    best = 0
+    best: tuple[Edge, ...] = ()
     used: set[int] = set()
     for e in edges:
         if used.isdisjoint(e):
             used.update(e)
-            best += 1
+            best += (e,)
 
-    def upper(avail: list[Edge]) -> int:
+    stack: list[tuple[list[Edge], tuple[Edge, ...]]] = [(edges, ())]
+    while stack:
+        avail, chosen = stack.pop()
+        if len(chosen) > len(best):
+            best = chosen
         if not avail:
-            return 0
-        free: set[int] = set()
-        for e in avail:
-            free.update(e)
-        return min(len(avail), len(free) // min_size)
-
-    def rec(avail: list[Edge], count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if not avail or count + upper(avail) <= best:
-            return
-        e = avail[0]
-        rec([f for f in avail[1:] if set(f).isdisjoint(e)], count + 1)
-        rec(avail[1:], count)
-
-    rec(edges, 0)
+            continue
+        free = set(itertools.chain.from_iterable(avail))
+        if len(chosen) + min(len(avail), len(free) // min_size) <= len(best):
+            continue
+        e, rest = avail[0], avail[1:]
+        taken = set(e)
+        stack.append((rest, chosen))
+        stack.append(([f for f in rest if taken.isdisjoint(f)], chosen + (e,)))
     return best
 
 
-def lex_min_maximum_matching(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> tuple[Edge, ...]:
-    """The maximum matching whose sorted edge list is lexicographically least.
+def matching_number(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> int:
+    """Maximum number of pairwise vertex-disjoint edges, exactly.
 
-    Built greedily: the next edge is the smallest one that still extends
-    to a maximum matching among strictly larger disjoint edges.
+    Accepts a Hypergraph or any iterable of edges, mixed sizes allowed
+    (the cover machinery calls it on residue families).
     """
-    edges = _as_edge_tuples(graph_or_edges)
-    target = matching_number(edges)
-    chosen: list[Edge] = []
-    avail = edges
-    while target > 0:
-        for i, e in enumerate(avail):
-            rest = [f for f in avail[i + 1:] if set(f).isdisjoint(e)]
-            if matching_number(rest) >= target - 1:
-                chosen.append(e)
-                avail = rest
-                target -= 1
-                break
-        else:  # pragma: no cover - matching_number guarantees progress
-            raise AssertionError("no extendable edge found")
-    return tuple(chosen)
+    return len(_maximum_matching(_as_edge_tuples(graph_or_edges)))
+
+
+def lex_min_maximum_matching(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> tuple[Edge, ...]:
+    """The maximum matching whose sorted edge list is lexicographically
+    least, found by the same single search as :func:`matching_number`."""
+    return _maximum_matching(_as_edge_tuples(graph_or_edges))
 
 
 # ---------------------------------------------------------------------------

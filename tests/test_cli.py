@@ -324,3 +324,91 @@ def test_construct_into_a_missing_directory_is_a_usage_error(tmp_path, capsys, c
     assert out == ""
     assert err.startswith("error:")
     assert not out_path.parent.exists()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on parameter edge cases
+
+
+@pytest.fixture
+def sweep_inputs(tmp_path):
+    leaves = 1500
+    texts = {
+        "c5": "5 2\n1 2\n2 3\n3 4\n4 5\n1 5\n",
+        "empty": "0 1\n",
+        "r_above_n": "2 3\n",
+        "star": f"{leaves + 1} 2\n" + "".join(f"1 {v}\n" for v in range(2, leaves + 2)),
+        "poly": "2\n1 : 1 2\n",
+    }
+    paths = {"dir": str(tmp_path), "out": str(tmp_path / "out.hg")}
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # zeros
+        "profile --input {c5} --k 0",
+        "profile --input {c5} --k 2 --max-subsets 0",
+        "estimate --input {c5} --k 0 --level 0 --samples 0 --seed 0",
+        "discrepancy --input {c5} --s 0",
+        "discrepancy --input {c5} --s 1 --term-cap 0",
+        "cover run --input {c5} --m 0",
+        "cover run --input {c5} --m 2 --step-cap 0",
+        "cover verify --input {c5} --pivot 0 --m 0",
+        "anticonc ehm --n 0 --k 0 --t 0",
+        "anticonc moments --input {poly} --n 0 --k 0",
+        "anticonc junta-tv --input {poly} --n 0 --k 0",
+        "anticonc poisson --input {poly} --p 0 --level 0 --radius 0",
+        "coupling-check --input {poly} --sample-k 0 --seed 0",
+        "construct split --n 0 --side 1 --r 1 --out {out}",
+        "construct lift --n 0 --k 0 --s 0 --r 0 --seed 0 --out {out}",
+        "suite acceptance --only 0",
+        # negatives
+        "profile --input {c5} --k -1",
+        "estimate --input {c5} --k 2 --level -1 --samples -5 --seed -1",
+        "discrepancy --input {c5} --s -1",
+        "cover run --input {c5} --m -1",
+        "cover run --input {c5} --m 2 --step-cap -1",
+        "cover verify --input {c5} --pivot -1 --m 1",
+        "anticonc ehm --n -3 --k -1 --t -1",
+        "anticonc junta-tv --input {poly} --n 2 --k -1",
+        "coupling-check --input {poly} --sample-k -1 --seed 0",
+        "construct lift --n -1 --k -1 --s -1 --r -1 --seed -1 --out {out}",
+        # the empty graph on no vertices
+        "profile --input {empty} --k 0",
+        "estimate --input {empty} --k 0 --level 0 --samples 3 --seed 0",
+        "discrepancy --input {empty} --s 1",
+        "cover run --input {empty} --m 1",
+        # uniformity above the vertex count
+        "profile --input {r_above_n} --k 2",
+        "discrepancy --input {r_above_n} --s 1",
+        "cover run --input {r_above_n} --m 1",
+        "construct split --n 2 --side 1 --r 3 --out {out}",
+        # an unwritable --out: the path is a directory
+        "construct split --n 4 --side 1 --r 2 --out {dir}",
+        # a search deeper than the recursion limit
+        "cover run --input {star} --m 2",
+        # a pivot that misses an edge
+        "cover verify --input {c5} --pivot 1,2 --m 1",
+    ],
+)
+def test_every_edge_case_keeps_the_exit_code_contract(argv, sweep_inputs, capsys):
+    code, out, _ = run_cli([word.format(**sweep_inputs) for word in argv.split()], capsys)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+    else:
+        json.loads(out)
+
+
+def test_cover_verify_names_the_missed_edge(c5_path, capsys):
+    code, out, _ = run_cli(["cover", "verify", "--input", c5_path, "--pivot", "1 2", "--m", "1"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["violations"] == ["pivot misses edge [3, 4]"]
+    assert report["results"]["failing_edge"] == [3, 4]

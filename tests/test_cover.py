@@ -1,6 +1,7 @@
 """Greedy pivot covers: residue families, relevant traces, the repair
 loop's certificates, and exhaustive verification."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from edgestats.cover import (
     verify_cover,
 )
 from edgestats.hypergraph import from_edges, random_hypergraph
-from edgestats.rng import new_generator, rand_below
+from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
 def tent():
@@ -62,6 +63,30 @@ def test_relevant_sets_prefer_smaller_traces():
 
 def test_relevant_sets_empty_graph():
     assert relevant_sets(from_edges(4, 2, []), [1, 2]) == []
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=40, deadline=None)
+def test_relevant_sets_and_edge_residues_match_their_definitions(seed):
+    rng = new_generator(seed)
+    n = 4 + rand_below(rng, 5)
+    r = 2 + rand_below(rng, 2)
+    g = random_hypergraph(n, r, Fraction(1 + rand_below(rng, 3), 6), rng)
+    pivot = sorted(sample_ordered(rng, n, rand_below(rng, min(n, 6) + 1)))
+    subsets = [s for size in range(len(pivot) + 1) for s in itertools.combinations(pivot, size)]
+    families = {}
+    for s in subsets:
+        family = frozenset(
+            frozenset(e) - set(s) for e in g.edges if set(e) & set(pivot) == set(s)
+        )
+        assert edge_residues(g, pivot, s) == family
+        families[s] = family
+    relevant = [
+        s
+        for s in subsets
+        if families[s] and not any(families[t] for t in subsets if set(t) < set(s))
+    ]
+    assert relevant_sets(g, pivot) == sorted(relevant, key=lambda t: (len(t), t))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 two named constructions, and the .hg text format."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from edgestats.hypergraph import (
     random_hypergraph,
     split_target_level,
 )
-from edgestats.rng import new_generator, rand_below
+from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
 def k4():
@@ -119,24 +120,14 @@ def test_induced_subgraph_relabeling():
 
 
 def brute_matching(edges):
-    """Independent oracle: maximum pairwise-disjoint subset of edges."""
-    best = 0
-    edges = list(edges)
+    """Independent oracle: the lexicographically least among the largest
+    pairwise-disjoint subsets of the (sorted, deduplicated) edges."""
+    edges = sorted({tuple(sorted(e)) for e in edges})
     for size in range(len(edges), -1, -1):
-        if size <= best:
-            break
         for chosen in itertools.combinations(edges, size):
-            union = set()
-            ok = True
-            for e in chosen:
-                if union & set(e):
-                    ok = False
-                    break
-                union |= set(e)
-            if ok:
-                best = max(best, size)
-                break
-    return best
+            covered = [v for e in chosen for v in e]
+            if len(set(covered)) == len(covered):
+                return chosen
 
 
 def test_matching_triangle():
@@ -160,16 +151,31 @@ def test_matching_rejects_empty_edge():
         matching_number([(1, 2), ()])
 
 
-@given(st.integers(0, 2**30))
+@given(st.integers(0, 2**30), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_matching_against_brute_force(seed):
+def test_matching_against_brute_force(seed, mixed):
     rng = new_generator(seed)
     n = 5 + rand_below(rng, 4)
-    r = 2 + rand_below(rng, 2)
-    g = random_hypergraph(n, r, Fraction(1, 4), rng)
-    if g.edge_count > 15:
-        g = from_edges(n, r, g.edges[:15])
-    assert matching_number(g) == brute_matching(g.edges)
+    if mixed:
+        g = edges = [
+            sample_ordered(rng, n, 1 + rand_below(rng, 3)) for _ in range(rand_below(rng, 16))
+        ]
+    else:
+        r = 2 + rand_below(rng, 2)
+        g = random_hypergraph(n, r, Fraction(1, 4), rng)
+        if g.edge_count > 15:
+            g = from_edges(n, r, g.edges[:15])
+        edges = g.edges
+    expected = brute_matching(edges)
+    assert matching_number(g) == len(expected)
+    assert lex_min_maximum_matching(g) == expected
+
+
+def test_matching_search_depth_is_not_bounded_by_the_recursion_limit():
+    leaves = sys.getrecursionlimit() + 10
+    star = from_edges(leaves + 1, 2, [(1, v) for v in range(2, leaves + 2)])
+    assert matching_number(star) == 1
+    assert lex_min_maximum_matching(star) == ((1, 2),)
 
 
 def test_lex_min_maximum_matching_is_maximum_and_least():
