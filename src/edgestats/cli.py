@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .acceptance import CRITERIA, run_all
@@ -189,6 +190,8 @@ def _cmd_coupling_check(args) -> dict:
 
 
 def _cmd_discrepancy(args) -> dict:
+    if args.top < 0:
+        raise ValueError(f"--top must be nonnegative, got {args.top}")
     graph, digest = _load(args.input, parse_hg)
     rep = signed_discrepancy(
         graph, args.s, term_cap=args.term_cap, collect_weights=args.top > 0
@@ -246,13 +249,12 @@ def _cmd_anticonc_poisson(args) -> dict:
 def _cmd_anticonc_junta_tv(args) -> dict:
     poly, digest = _load(args.input, parse_mlp)
     coords = poly.active_variables
+    # At the 0/1 point of T, poly is the sum of the terms with support inside T.
     table = {}
     for size in range(len(coords) + 1):
         for t in itertools.combinations(coords, size):
-            assignment = {v: (1 if v in t else 0) for v in coords}
-            full = {v: 0 for v in range(1, poly.n + 1)}
-            full.update(assignment)
-            table[t] = poly.evaluate(full)
+            tset = frozenset(t)
+            table[t] = sum((c for s, c in poly.terms if tset.issuperset(s)), Fraction(0))
     rep = junta_tv(table, coords, args.n, args.k)
     violations = []
     if rep.violated:

@@ -104,8 +104,8 @@ class Coupling:
 def sample_coupling(n: int, k: int, seed: int) -> Coupling:
     """Seeded coupling: one ordered Fisher-Yates draw of 2k distinct
     vertices consumed pairwise as (minus, plus), then k sign bits."""
-    if 2 * k > n:
-        raise ValueError(f"need 2k <= n, got k={k}, n={n}")
+    if not 0 <= 2 * k <= n:
+        raise ValueError(f"need 0 <= 2k <= n, got k={k}, n={n}")
     rng = new_generator(seed)
     flat = sample_ordered(rng, n, 2 * k)
     pairs = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(k))

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .hypergraph import Hypergraph, lex_min_maximum_matching, matching_number
+from .hypergraph import Hypergraph, _trace_groups, lex_min_maximum_matching, matching_number
 
 __all__ = [
     "edge_residues",
@@ -48,17 +48,6 @@ def _check_pivot(graph: Hypergraph, pivot: Iterable[int], label: str) -> frozens
     if p and (min(p) < 1 or max(p) > graph.n):
         raise ValueError(f"{label} leaves the vertex range [1..{graph.n}]")
     return p
-
-
-def _trace_groups(graph: Hypergraph, y: frozenset[int]) -> dict[Trace, set[frozenset[int]]]:
-    """One pass over the edges: each residue e - (e cap Y), grouped by its
-    exact trace e cap Y (as an ascending tuple)."""
-    groups: dict[Trace, set[frozenset[int]]] = {}
-    for e in graph.edges:
-        es = frozenset(e)
-        s = es & y
-        groups.setdefault(tuple(sorted(s)), set()).add(es - s)
-    return groups
 
 
 def _minimal_traces(groups: dict[Trace, set[frozenset[int]]]) -> list[Trace]:
@@ -139,22 +128,15 @@ class ResidualGraph:
 
 def residual(graph: Hypergraph, pivot: Iterable[int], kept: Iterable[int]) -> ResidualGraph:
     """Delete the vertices of pivot - kept, then replace each surviving
-    edge by its part outside ``kept``, dropping emptied edges and
-    collapsing duplicates."""
+    edge by its part outside ``kept`` (its trace T lies inside ``kept``, so
+    that part is e - T), dropping emptied edges and collapsing duplicates."""
     y = _check_pivot(graph, pivot, "pivot")
     x = frozenset(kept)
     if not x <= y:
         raise ValueError(f"kept set {sorted(x)} is not a subset of the pivot {sorted(y)}")
-    removed = y - x
-    out = set()
-    for e in graph.edges:
-        es = frozenset(e)
-        if es & removed:
-            continue
-        res = es - x
-        if res:
-            out.add(res)
-    return ResidualGraph(graph.n, graph.r, frozenset(out))
+    groups = _trace_groups(graph, y)
+    edges = frozenset(res for t, family in groups.items() if x.issuperset(t) for res in family if res)
+    return ResidualGraph(graph.n, graph.r, edges)
 
 
 @dataclass(frozen=True)
@@ -273,25 +255,32 @@ def verify_cover(graph: Hypergraph, pivot: Iterable[int], m: int) -> CoverVerifi
     violation is returned as a witness: a kept-set X whose nonempty
     residual has a top uniformity class with matching below m.  A nonempty
     pivot must additionally meet every edge; the first uncovered edge (in
-    edge order) is reported the same way.
+    edge order) is reported the same way.  A trace T leaves residues of
+    size r - |T|, so the top class at X unites the residue families of the
+    smallest non-full traces inside X.
     """
-    y = sorted(_check_pivot(graph, pivot, "pivot"))
+    yset = _check_pivot(graph, pivot, "pivot")
+    y = sorted(yset)
     if len(y) > VERIFY_PIVOT_CAP:
         raise ValueError(
             f"pivot of size {len(y)} needs 2^{len(y)} subset checks, above the cap"
         )
-    if y:
-        yset = frozenset(y)
-        for e in graph.edges:
-            if yset.isdisjoint(e):
-                return CoverVerification(False, None, e, 0)
+    groups = _trace_groups(graph, yset)
+    if y and () in groups:  # an edge missing the pivot is its own residue
+        return CoverVerification(False, None, min(tuple(sorted(e)) for e in groups[()]), 0)
+    levels = [
+        [(frozenset(t), family) for t, family in groups.items() if len(t) == size]
+        for size in range(min(graph.r, len(y) + 1))
+    ]
     checked = 0
     for size in range(len(y) + 1):
         for x in itertools.combinations(y, size):
             checked += 1
-            rg = residual(graph, y, x)
-            if not rg.edges:
-                continue
-            if matching_number(rg.top_class()) < m:
-                return CoverVerification(False, x, None, checked)
+            xset = frozenset(x)
+            for level in levels:
+                top = [res for t, family in level if t <= xset for res in family]
+                if top:
+                    if matching_number(top) < m:
+                        return CoverVerification(False, x, None, checked)
+                    break
     return CoverVerification(True, None, None, checked)

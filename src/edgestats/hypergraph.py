@@ -150,6 +150,18 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
     return count
 
 
+def _trace_groups(graph: Hypergraph, y: frozenset[int]) -> dict[Edge, set[frozenset[int]]]:
+    """The trace index: one pass over the edges, each residue e - (e cap Y)
+    grouped by its exact trace e cap Y (as an ascending tuple).  A group's
+    residues are distinct, so its size is its number of edges."""
+    groups: dict[Edge, set[frozenset[int]]] = {}
+    for e in graph.edges:
+        es = frozenset(e)
+        s = es & y
+        groups.setdefault(tuple(sorted(s)), set()).add(es - s)
+    return groups
+
+
 def induced_edge_count(graph: Hypergraph, subset: Iterable[int]) -> int:
     """Number of edges of ``graph`` contained in ``subset``."""
     u = sorted(set(subset))
@@ -299,6 +311,8 @@ def split_target_level(k: int, s_hits: int, r: int) -> int:
 
 def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
     """All r-sets meeting the distinguished vertex set in exactly one vertex."""
+    if r < 1:
+        raise ValueError(f"uniformity must be a positive integer, got {r}")
     s = sorted(set(side))
     if s and (s[0] < 1 or s[-1] > n):
         raise ValueError(f"distinguished side leaves the vertex range [1..{n}]")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .hypergraph import Hypergraph, _edge_counter
+from .hypergraph import Hypergraph, _edge_counter, _trace_groups
 from .multilinear import MultilinearPoly
 from .rng import new_generator, sample_ordered
 from .serialize import format_int, format_rational, parse_int
@@ -235,12 +235,10 @@ def conditional_junta(graph: Hypergraph, k: int, pivot: Iterable[int]) -> JuntaT
         raise ValueError(f"pivot of size {len(y)} exceeds the 2^20 table cap")
     if not 0 <= k <= graph.n:
         raise ValueError(f"subset size {k} outside [0..{graph.n}]")
-    yset = frozenset(y)
     outside = graph.n - len(y)
-    # Pre-split each edge into its pivot part and the residue size.
-    split_edges = [
-        (frozenset(e) & yset, graph.r - len(frozenset(e) & yset)) for e in graph.edges
-    ]
+    # The edges of one trace S share the residue size r - |S|, hence one weight.
+    groups = _trace_groups(graph, frozenset(y))
+    traces = [(frozenset(s), graph.r - len(s), len(family)) for s, family in groups.items()]
     entries: dict[tuple[int, ...], JuntaEntry] = {}
     for size in range(len(y) + 1):
         for t in itertools.combinations(y, size):
@@ -249,10 +247,10 @@ def conditional_junta(graph: Hypergraph, k: int, pivot: Iterable[int]) -> JuntaT
                 entries[t] = JuntaEntry(Fraction(0), False)
                 continue
             tset = frozenset(t)
-            denom = comb(outside, need)
-            total = Fraction(0)
-            for inside_y, residue in split_edges:
-                if inside_y <= tset and residue <= need:
-                    total += Fraction(comb(outside - residue, need - residue), denom)
-            entries[t] = JuntaEntry(total, True)
+            total = sum(
+                count * comb(outside - residue, need - residue)
+                for s, residue, count in traces
+                if residue <= need and s <= tset
+            )
+            entries[t] = JuntaEntry(Fraction(total, comb(outside, need)), True)
     return JuntaTable(graph.n, k, y, entries)

@@ -1,13 +1,17 @@
 """End-to-end command-line behaviour: exit codes, JSON report shape,
 byte-for-byte determinism, and file round trips."""
 
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
+from edgestats.anticonc import junta_tv
 from edgestats.cli import main
 from edgestats.hypergraph import format_hg, from_edges, parse_hg
 from edgestats.multilinear import MultilinearPoly, format_mlp
+from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
 def run_cli(argv, capsys):
@@ -184,6 +188,36 @@ def test_anticonc_junta_tv_spot(tmp_path, capsys):
     report = json.loads(out)
     assert report["results"]["tv"] == "1/10"
     assert report["results"]["bound"] == "3/5"
+
+
+def test_anticonc_junta_tv_table_is_the_pointwise_evaluation(tmp_path, capsys):
+    """The command's report equals junta_tv on the table of the polynomial
+    evaluated at every 0/1 point of its active coordinates."""
+    rng = new_generator(8)
+    path = tmp_path / "junta.mlp"
+    for _ in range(10):
+        n = 2 + rand_below(rng, 8)
+        terms = {
+            tuple(sorted(sample_ordered(rng, n, rand_below(rng, min(n, 3) + 1)))): Fraction(
+                rand_below(rng, 9) - 4, 1 + rand_below(rng, 3)
+            )
+            for _ in range(rand_below(rng, 5))
+        }
+        poly = MultilinearPoly.from_terms(n, terms)
+        path.write_text(format_mlp(poly))
+        k = 1 + rand_below(rng, n // 2)
+        code, out, _ = run_cli(
+            ["anticonc", "junta-tv", "--input", str(path), "--n", str(n), "--k", str(k)], capsys
+        )
+        coords = poly.active_variables
+        table = {
+            t: poly.evaluate([1 if v in t else 0 for v in range(1, n + 1)])
+            for size in range(len(coords) + 1)
+            for t in itertools.combinations(coords, size)
+        }
+        rep = junta_tv(table, coords, n, k)
+        assert code == (1 if rep.violated else 0)
+        assert json.loads(out)["results"] == rep.to_json_dict()
 
 
 def test_anticonc_moments_spot(poly_path, capsys):
@@ -404,6 +438,34 @@ def test_every_edge_case_keeps_the_exit_code_contract(argv, sweep_inputs, capsys
         assert out == ""
     else:
         json.loads(out)
+
+
+@pytest.mark.parametrize("side, r", [("", "0"), ("", "-3"), ("1 2", "0")])
+def test_construct_split_refuses_a_nonpositive_uniformity(tmp_path, capsys, side, r):
+    out_path = tmp_path / "g.hg"
+    code, out, err = run_cli(
+        ["construct", "split", "--n", "5", "--side", side, "--r", r, "--out", str(out_path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert f"uniformity must be a positive integer, got {r}" in err
+    assert not out_path.exists()
+
+
+def test_negative_sample_k_is_named_in_the_error(poly_path, capsys):
+    code, out, err = run_cli(
+        ["coupling-check", "--input", poly_path, "--sample-k", "-1", "--seed", "0"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "k=-1" in err
+
+
+def test_negative_top_is_a_usage_error(c5_path, capsys):
+    code, out, err = run_cli(["discrepancy", "--input", c5_path, "--s", "1", "--top", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--top" in err
 
 
 def test_cover_verify_names_the_missed_edge(c5_path, capsys):

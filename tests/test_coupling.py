@@ -66,6 +66,11 @@ def test_sample_coupling_tight_fit_uses_every_vertex():
         sample_coupling(7, 4, seed=0)
 
 
+def test_sample_coupling_rejects_a_negative_pair_count():
+    with pytest.raises(ValueError, match="k=-1"):
+        sample_coupling(10, -1, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # frozen worked examples for the expansion coefficients
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from edgestats.cover import (
     CoverCertificate,
+    CoverVerification,
     default_step_cap,
     edge_residues,
     greedy_cover,
@@ -17,7 +18,7 @@ from edgestats.cover import (
     residual,
     verify_cover,
 )
-from edgestats.hypergraph import from_edges, random_hypergraph
+from edgestats.hypergraph import from_edges, matching_number, random_hypergraph
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
@@ -120,6 +121,75 @@ def test_residual_validation():
         residual(g, [1], [2])
     with pytest.raises(ValueError, match="top uniformity"):
         residual(g, [1, 3], []).top_size
+
+
+def _residual_by_scan(graph, pivot, kept):
+    """The residual by its definition: drop the edges meeting pivot - kept,
+    cut the rest down to their part outside kept, drop emptied edges."""
+    removed = set(pivot) - set(kept)
+    return frozenset(
+        frozenset(e) - set(kept)
+        for e in graph.edges
+        if not removed & set(e) and set(e) - set(kept)
+    )
+
+
+def _verify_by_scan(graph, pivot, m):
+    """verify_cover by its definition: the first edge missing a nonempty
+    pivot, else the first subset X in (size, lex) order whose residual's
+    top class has a matching below m."""
+    y = sorted(set(pivot))
+    if y:
+        for e in graph.edges:
+            if not set(e) & set(y):
+                return CoverVerification(False, None, e, 0)
+    checked = 0
+    for size in range(len(y) + 1):
+        for x in itertools.combinations(y, size):
+            checked += 1
+            edges = _residual_by_scan(graph, y, x)
+            if edges:
+                top = max(len(e) for e in edges)
+                if matching_number([e for e in edges if len(e) == top]) < m:
+                    return CoverVerification(False, x, None, checked)
+    return CoverVerification(True, None, None, checked)
+
+
+def _random_case(seed):
+    rng = new_generator(seed)
+    n = 1 + rand_below(rng, 9)
+    r = 1 + rand_below(rng, min(n, 3))
+    g = random_hypergraph(n, r, Fraction(1 + rand_below(rng, 4), 6), rng)
+    pivot = set(sample_ordered(rng, n, rand_below(rng, min(n, 6) + 1)))
+    # A random pivot usually misses an edge; extending it by one vertex of
+    # each missed edge gives a covering pivot that the greedy loop would
+    # not have chosen.
+    covering = set(pivot)
+    for e in g.edges:
+        if covering.isdisjoint(e):
+            covering.add(e[rand_below(rng, r)])
+    pivots = [sorted(pivot), sorted(covering)]
+    pivots += [greedy_cover(g, m).pivot for m in (1, 2, 3)]
+    return g, [p for p in pivots if len(p) <= 8]
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=40, deadline=None)
+def test_residual_matches_the_edge_scan_at_every_kept_set(seed):
+    g, pivots = _random_case(seed)
+    for pivot in pivots:
+        for size in range(len(pivot) + 1):
+            for kept in itertools.combinations(pivot, size):
+                assert residual(g, pivot, kept).edges == _residual_by_scan(g, pivot, kept)
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=40, deadline=None)
+def test_verify_matches_the_edge_scan(seed):
+    g, pivots = _random_case(seed)
+    for pivot in pivots:
+        for m in (1, 2, 3):
+            assert verify_cover(g, pivot, m) == _verify_by_scan(g, pivot, m)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +308,15 @@ def test_verify_reports_an_uncovered_edge():
     check = verify_cover(g, [1], 1)
     assert not check.ok
     assert check.failing_edge == (3, 4)
+
+
+def test_verify_takes_the_top_class_from_the_smallest_traces():
+    # At X = {1, 2} the trace {1} leaves residues {3,4} and {5,6} (a
+    # 2-matching), while the larger trace {1, 2} leaves only {7}.
+    g = from_edges(7, 3, [(1, 2, 7), (1, 3, 4), (1, 5, 6)])
+    check = verify_cover(g, [1, 2], 2)
+    assert check.ok
+    assert check.checked_subsets == 4
 
 
 def test_verify_caps_the_pivot_size():

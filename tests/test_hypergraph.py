@@ -261,6 +261,12 @@ def test_split_edges_meet_side_exactly_once():
     assert g.edge_count == expected
 
 
+@pytest.mark.parametrize("side, r", [((), 0), ((), -3), ((1, 2), 0), ((1,), -1)])
+def test_construct_split_rejects_a_nonpositive_uniformity(side, r):
+    with pytest.raises(ValueError, match=f"uniformity must be a positive integer, got {r}"):
+        construct_split(5, side, r)
+
+
 def test_split_target_level_values():
     assert split_target_level(8, 2, 2) == 2 * 6
     assert split_target_level(8, 2, 3) == 30

@@ -15,7 +15,7 @@ from edgestats.hypergraph import (
     induced_subgraph,
     random_hypergraph,
 )
-from edgestats.profiles import conditional_junta, estimate_point, exact_profile
+from edgestats.profiles import JuntaEntry, conditional_junta, estimate_point, exact_profile
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
@@ -231,6 +231,31 @@ def test_junta_polynomial_view_matches_table():
         for t in itertools.combinations((1, 2), size):
             point = {v: (1 if v in t else 0) for v in (1, 2)}
             assert poly.evaluate(point) == table.value(t)
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=30, deadline=None)
+def test_junta_matches_the_conditional_mean_by_enumeration(seed):
+    """Every entry, for every k, is the mean of e(G[U]) over the k-subsets
+    U with U cap Y = T; an entry with no such U is flagged infeasible."""
+    rng = new_generator(seed)
+    n = 1 + rand_below(rng, 9)
+    r = 1 + rand_below(rng, min(n, 3))
+    g = random_hypergraph(n, r, Fraction(1 + rand_below(rng, 4), 6), rng)
+    pivot = sorted(sample_ordered(rng, n, rand_below(rng, min(n, 5) + 1)))
+    for k in range(n + 1):
+        table = conditional_junta(g, k, pivot)
+        buckets = {}
+        for u in itertools.combinations(range(1, n + 1), k):
+            t = tuple(v for v in u if v in pivot)
+            buckets.setdefault(t, []).append(sum(1 for e in g.edges if set(e) <= set(u)))
+        assert len(table.entries) == 2 ** len(pivot)
+        for t, entry in table.entries.items():
+            counts = buckets.get(t)
+            if counts is None:
+                assert entry == JuntaEntry(Fraction(0), False)
+            else:
+                assert entry == JuntaEntry(Fraction(sum(counts), len(counts)), True)
 
 
 def test_junta_polynomial_view_refuses_partial_table():
