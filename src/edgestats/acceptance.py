@@ -20,7 +20,6 @@ from typing import Callable
 from .anticonc import (
     hypergeom_binom_tv,
     junta_tv,
-    max_prob_binomial_one,
     poisson_interval_check,
     slice_covariance,
     slice_moments,

@@ -201,6 +201,21 @@ def poisson_interval_check(
     return report
 
 
+def _junta_coords(coords: Sequence[int], n: int, k: int) -> tuple[int, ...]:
+    """The checked, ascending coordinates of a junta on the k-slice of
+    [1..n]; refuses more than 14 before any 2^s table is built."""
+    s_coords = tuple(sorted(set(coords)))
+    if len(s_coords) != len(tuple(coords)):
+        raise ValueError("junta coordinates must be distinct")
+    if len(s_coords) > 14:
+        raise ValueError(f"junta arity {len(s_coords)} exceeds the 2^14 enumeration cap")
+    if s_coords and (s_coords[0] < 1 or s_coords[-1] > n):
+        raise ValueError(f"coordinates leave the range [1..{n}]")
+    if not 1 <= k or 2 * k > n:
+        raise ValueError(f"need 1 <= k <= n/2, got k={k}, n={n}")
+    return s_coords
+
+
 def junta_tv(
     table: Mapping[tuple[int, ...], Hashable],
     coords: Sequence[int],
@@ -214,16 +229,8 @@ def junta_tv(
     ascending tuples).  Requires k <= n/2; the claimed bound is
     (max(s, 2n/k) - 1)/(n - 1) with s = len(coords).
     """
-    s_coords = tuple(sorted(set(coords)))
-    if len(s_coords) != len(tuple(coords)):
-        raise ValueError("junta coordinates must be distinct")
+    s_coords = _junta_coords(coords, n, k)
     s = len(s_coords)
-    if s > 14:
-        raise ValueError(f"junta arity {s} exceeds the 2^14 enumeration cap")
-    if s_coords and (s_coords[0] < 1 or s_coords[-1] > n):
-        raise ValueError(f"coordinates leave the range [1..{n}]")
-    if not 1 <= k or 2 * k > n:
-        raise ValueError(f"need 1 <= k <= n/2, got k={k}, n={n}")
     p = Fraction(k, n)
     total = comb(n, k)
     slice_law: dict[Hashable, Fraction] = {}
@@ -237,17 +244,8 @@ def junta_tv(
             pr_prod = p**size * (1 - p) ** (s - size)
             slice_law[v] = slice_law.get(v, Fraction(0)) + pr_slice
             product_law[v] = product_law.get(v, Fraction(0)) + pr_prod
-    values = set(slice_law) | set(product_law)
-    tv = (
-        sum(
-            (
-                abs(slice_law.get(v, Fraction(0)) - product_law.get(v, Fraction(0)))
-                for v in values
-            ),
-            Fraction(0),
-        )
-        / 2
-    )
+    # Every value is charged under both laws, so the two share their keys.
+    tv = sum((abs(slice_law[v] - product_law[v]) for v in slice_law), Fraction(0)) / 2
     bound = (max(Fraction(s), Fraction(2 * n, k)) - 1) / (n - 1)
     return TVReport(tv, bound, True)
 

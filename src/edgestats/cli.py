@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .acceptance import CRITERIA, run_all
 from .anticonc import (
+    _junta_coords,
     hypergeom_binom_tv,
     junta_tv,
     poisson_interval_check,
@@ -36,7 +35,7 @@ from .coupling import check_sign_expansion, sample_coupling
 from .cover import greedy_cover, verify_cover
 from .discrepancy import signed_discrepancy
 from .hypergraph import construct_lift, construct_split, format_hg, parse_hg
-from .multilinear import parse_mlp
+from .multilinear import _subset_transform, _zeta, parse_mlp
 from .profiles import estimate_point, exact_profile
 from .serialize import parse_rational
 
@@ -248,13 +247,9 @@ def _cmd_anticonc_poisson(args) -> dict:
 
 def _cmd_anticonc_junta_tv(args) -> dict:
     poly, digest = _load(args.input, parse_mlp)
-    coords = poly.active_variables
+    coords = _junta_coords(poly.active_variables, args.n, args.k)
     # At the 0/1 point of T, poly is the sum of the terms with support inside T.
-    table = {}
-    for size in range(len(coords) + 1):
-        for t in itertools.combinations(coords, size):
-            tset = frozenset(t)
-            table[t] = sum((c for s, c in poly.terms if tset.issuperset(s)), Fraction(0))
+    table = _subset_transform(coords, dict(poly.terms), _zeta)
     rep = junta_tv(table, coords, args.n, args.k)
     violations = []
     if rep.violated:

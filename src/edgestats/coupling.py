@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .multilinear import MultilinearPoly
+from .multilinear import MultilinearPoly, _subset_transform, _walsh
 from .rng import new_generator, rademacher, sample_ordered
 from .serialize import format_rational
 
@@ -201,25 +201,22 @@ def check_sign_expansion(poly: MultilinearPoly, pairs: Sequence[Pair]) -> SignEx
     For each sign vector the polynomial is evaluated directly on the
     selected 0/1 vector and compared with the expansion's value; the
     report carries the maximum absolute difference (0 when the identity
-    holds, always, since both sides are exact rationals).
+    holds, always, since both sides are exact rationals).  The expansion
+    is the table's Walsh-Hadamard transform at the pairs whose sign is -1.
     """
     ps = _validate_pairs(tuple(pairs), poly.n)
     k = len(ps)
     if k > 20:
         raise ValueError(f"k = {k} sign variables exceeds the exhaustive cap of 20")
     table = sign_expansion_table(poly, ps)
+    expanded = _subset_transform(range(1, k + 1), table, _walsh)
     supports = [(frozenset(s), c) for s, c in poly.terms]
     worst = Fraction(0)
     for signs in itertools.product((-1, 1), repeat=k):
         chosen = frozenset(p[1] if s == 1 else p[0] for p, s in zip(ps, signs))
         direct = sum((c for s, c in supports if s <= chosen), Fraction(0))
-        expanded = Fraction(0)
-        for idx, coeff in table.items():
-            prod = 1
-            for i in idx:
-                prod *= signs[i - 1]
-            expanded += prod * coeff
-        worst = max(worst, abs(direct - expanded))
+        minus = tuple(i for i, s in enumerate(signs, start=1) if s == -1)
+        worst = max(worst, abs(direct - expanded[minus]))
     return SignExpansionReport(k, table, worst, 2**k)
 
 

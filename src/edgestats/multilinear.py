@@ -15,7 +15,6 @@ while remaining a plain exhaustive enumeration semantically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -183,6 +182,39 @@ def multiply_mod_squares(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearP
             key = tuple(sorted(set1.symmetric_difference(s2)))
             acc[key] = acc.get(key, Fraction(0)) + c1 * c2
     return MultilinearPoly.from_terms(p.n, acc)
+
+
+# ---------------------------------------------------------------------------
+# The subset-lattice kernel (Yates' butterfly) and its three pair functions
+
+
+def _subset_transform(coords: Sequence[int], weights: Mapping[Support, Fraction | int], butterfly):
+    """For each c in ``coords`` in turn, replace every (subset without c,
+    subset with c) pair by butterfly(lo, hi): O(s * 2^s) calls.  ``weights``
+    maps ascending tuples over ``coords`` to exact numbers (absent ones are
+    0); all 2^s subsets come back, keyed the same way."""
+    keys: list[Support] = [()]
+    for v in coords:
+        keys += [t + (v,) for t in keys]  # bit i of the index is coords[i]
+    vals = [weights.get(t, 0) for t in keys]
+    for i in range(len(coords)):
+        for hi in range(len(vals)):
+            if hi >> i & 1:
+                lo = hi ^ 1 << i
+                vals[lo], vals[hi] = butterfly(vals[lo], vals[hi])
+    return dict(zip(keys, vals))
+
+
+def _zeta(lo, hi):  # sum over subsets: T gathers the weights of every S inside T
+    return lo, lo + hi
+
+
+def _moebius(lo, hi):  # the inverse of _zeta (Moebius inversion)
+    return lo, hi - lo
+
+
+def _walsh(lo, hi):  # Walsh-Hadamard: M gathers the sum of w_I * (-1)^|I cap M|
+    return lo + hi, lo - hi
 
 
 # ---------------------------------------------------------------------------

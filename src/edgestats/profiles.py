@@ -15,9 +15,9 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .hypergraph import Hypergraph, _edge_counter, _trace_groups
-from .multilinear import MultilinearPoly
+from .multilinear import MultilinearPoly, _moebius, _subset_transform, _zeta
 from .rng import new_generator, sample_ordered
-from .serialize import format_int, format_rational, parse_int
+from .serialize import format_int, format_rational
 
 __all__ = [
     "EdgeProfile",
@@ -62,11 +62,6 @@ class EdgeProfile:
                 str(level): format_int(mult) for level, mult in sorted(self.counts.items())
             },
         }
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "EdgeProfile":
-        counts = {int(level): parse_int(mult) for level, mult in d["counts"].items()}
-        return cls(int(d["n"]), int(d["k"]), counts, parse_int(d["total"]))
 
 
 def exact_profile(graph: Hypergraph, k: int, *, max_subsets: int = DEFAULT_PROFILE_CAP) -> EdgeProfile:
@@ -169,10 +164,9 @@ class JuntaTable:
 
     def value(self, subset: Iterable[int]) -> Fraction:
         t = tuple(sorted(subset))
-        entry = self.entries[t]
-        if not entry.feasible:
+        if self.subset_probability(t) == 0:  # raises for a set outside the pivot
             raise ValueError(f"conditioning event U cap Y = {t} has probability zero")
-        return entry.value
+        return self.entries[t].value
 
     def feasible_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return [(t, e.value) for t, e in sorted(self.entries.items()) if e.feasible]
@@ -195,16 +189,8 @@ class JuntaTable:
         bad = [t for t, e in sorted(self.entries.items()) if not e.feasible]
         if bad:
             raise ValueError(f"table has infeasible subsets, no total polynomial view: {bad}")
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        for s in self.entries:
-            total = Fraction(0)
-            sset = set(s)
-            for size in range(len(s) + 1):
-                for t in itertools.combinations(sorted(sset), size):
-                    total += (-1) ** (len(s) - size) * self.entries[t].value
-            if total != 0:
-                coeffs[s] = total
-        return MultilinearPoly.from_terms(self.n, coeffs)
+        values = {t: e.value for t, e in self.entries.items()}
+        return MultilinearPoly.from_terms(self.n, _subset_transform(self.pivot, values, _moebius))
 
     def to_json_dict(self) -> dict:
         return {
@@ -236,21 +222,19 @@ def conditional_junta(graph: Hypergraph, k: int, pivot: Iterable[int]) -> JuntaT
     if not 0 <= k <= graph.n:
         raise ValueError(f"subset size {k} outside [0..{graph.n}]")
     outside = graph.n - len(y)
-    # The edges of one trace S share the residue size r - |S|, hence one weight.
-    groups = _trace_groups(graph, frozenset(y))
-    traces = [(frozenset(s), graph.r - len(s), len(family)) for s, family in groups.items()]
+    # Edges of trace S share rho = r - |S|; inside[rho][T] counts them over S in T.
+    counts: dict[int, dict[tuple[int, ...], int]] = {}
+    for s, family in _trace_groups(graph, frozenset(y)).items():
+        counts.setdefault(graph.r - len(s), {})[s] = len(family)
+    inside = {rho: _subset_transform(y, c, _zeta) for rho, c in counts.items()}
     entries: dict[tuple[int, ...], JuntaEntry] = {}
     for size in range(len(y) + 1):
+        need = k - size
+        if not 0 <= need <= outside:
+            entries.update((t, JuntaEntry(Fraction(0), False)) for t in itertools.combinations(y, size))
+            continue
+        weights = [(col, comb(outside - rho, need - rho)) for rho, col in inside.items() if rho <= need]
         for t in itertools.combinations(y, size):
-            need = k - size
-            if need < 0 or need > outside:
-                entries[t] = JuntaEntry(Fraction(0), False)
-                continue
-            tset = frozenset(t)
-            total = sum(
-                count * comb(outside - residue, need - residue)
-                for s, residue, count in traces
-                if residue <= need and s <= tset
-            )
+            total = sum(col[t] * w for col, w in weights)
             entries[t] = JuntaEntry(Fraction(total, comb(outside, need)), True)
     return JuntaTable(graph.n, k, y, entries)

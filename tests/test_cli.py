@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from edgestats import cli
 from edgestats.anticonc import junta_tv
 from edgestats.cli import main
 from edgestats.hypergraph import format_hg, from_edges, parse_hg
@@ -220,6 +221,18 @@ def test_anticonc_junta_tv_table_is_the_pointwise_evaluation(tmp_path, capsys):
         assert json.loads(out)["results"] == rep.to_json_dict()
 
 
+def test_anticonc_junta_tv_refuses_a_wide_junta_before_its_table(sweep_inputs, capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the 2^30 table was started")
+
+    monkeypatch.setattr(cli, "_subset_transform", no_table)
+    code, out, err = run_cli(
+        ["anticonc", "junta-tv", "--input", sweep_inputs["wide"], "--n", "60", "--k", "2"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "junta arity 30 exceeds the 2^14 enumeration cap" in err
+
+
 def test_anticonc_moments_spot(poly_path, capsys):
     code, out, _ = run_cli(
         ["anticonc", "moments", "--input", poly_path, "--n", "4", "--k", "2"], capsys
@@ -373,6 +386,7 @@ def sweep_inputs(tmp_path):
         "r_above_n": "2 3\n",
         "star": f"{leaves + 1} 2\n" + "".join(f"1 {v}\n" for v in range(2, leaves + 2)),
         "poly": "2\n1 : 1 2\n",
+        "wide": "30\n" + "".join(f"1 : {v}\n" for v in range(1, 31)),
     }
     paths = {"dir": str(tmp_path), "out": str(tmp_path / "out.hg")}
     for name, text in texts.items():
@@ -429,6 +443,8 @@ def sweep_inputs(tmp_path):
         "cover run --input {star} --m 2",
         # a pivot that misses an edge
         "cover verify --input {c5} --pivot 1,2 --m 1",
+        # a junta past the 2^14 arity cap, refused before its table is built
+        "anticonc junta-tv --input {wide} --n 60 --k 2",
     ],
 )
 def test_every_edge_case_keeps_the_exit_code_contract(argv, sweep_inputs, capsys):

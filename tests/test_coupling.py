@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgestats import coupling
 from edgestats.coupling import (
     Coupling,
     check_sign_expansion,
@@ -179,6 +180,38 @@ def test_expansion_identity_on_random_graphs(seed):
     pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(k)]
     report = check_sign_expansion(edge_indicator_poly(g), pairs)
     assert report.max_abs_discrepancy == 0
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=50, deadline=None)
+def test_expansion_identity_on_signed_rational_polynomials(seed):
+    rng = new_generator(seed)
+    n = rand_below(rng, 11)
+    terms = {}
+    for _ in range(rand_below(rng, 12)):
+        support = tuple(sorted(sample_ordered(rng, n, rand_below(rng, min(n, 4) + 1))))
+        terms[support] = Fraction(rand_below(rng, 19) - 9, 1 + rand_below(rng, 7))
+    poly = MultilinearPoly.from_terms(n, terms)
+    report = check_sign_expansion(poly, sample_coupling(n, rand_below(rng, n // 2 + 1), seed).pairs)
+    assert report.max_abs_discrepancy == 0
+
+
+@pytest.mark.parametrize("index, delta", [((1,), Fraction(1, 7)), ((1, 2, 3), Fraction(-3))])
+def test_a_wrong_expansion_table_is_caught(monkeypatch, index, delta):
+    """The direct side does not read the table: moving one coefficient
+    (present, or absent for a degree-2 polynomial) by delta moves the
+    expansion by |delta| at every sign vector."""
+    poly = edge_indicator_poly(from_edges(6, 2, [(1, 2), (2, 3), (4, 5), (5, 6), (1, 6)]))
+    honest = coupling.sign_expansion_table
+
+    def skewed(p, pairs):
+        table = honest(p, pairs)
+        table[index] = table.get(index, Fraction(0)) + delta
+        return table
+
+    monkeypatch.setattr(coupling, "sign_expansion_table", skewed)
+    report = check_sign_expansion(poly, [(1, 2), (3, 4), (5, 6)])
+    assert report.max_abs_discrepancy == abs(delta)
 
 
 # ---------------------------------------------------------------------------

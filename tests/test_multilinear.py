@@ -3,6 +3,7 @@ thresholding, exact value distributions, and the .mlp text format."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +15,10 @@ from edgestats.hypergraph import from_edges
 from edgestats.multilinear import (
     MAX_ACTIVE_VARS,
     MultilinearPoly,
+    _moebius,
+    _subset_transform,
+    _walsh,
+    _zeta,
     constant_exceeds,
     edge_indicator_poly,
     exhaustive_distribution,
@@ -262,3 +267,41 @@ def test_mlp_errors_carry_line_numbers():
         parse_mlp("x\n")
     with pytest.raises(ValueError, match="empty"):
         parse_mlp("# nothing here\n")
+
+
+# ---------------------------------------------------------------------------
+# the subset-lattice kernel
+
+
+def _subsets(coords):
+    return [t for size in range(len(coords) + 1) for t in itertools.combinations(coords, size)]
+
+
+@given(st.integers(0, 2**30), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_subset_transform_matches_each_butterflys_definition(seed, fractions):
+    """Each pair function, run through the kernel, equals its sum over the
+    subset lattice written out; absent weights count as 0."""
+    rng = random.Random(seed)
+    coords = tuple(sorted(rng.sample(range(1, 10), rng.randint(0, 6))))
+    subsets = _subsets(coords)
+    weights = {
+        t: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if fractions else rng.randint(-9, 9)
+        for t in subsets
+        if rng.random() < 0.7
+    }
+
+    def w(t):
+        return weights.get(t, 0)
+
+    zeta = _subset_transform(coords, weights, _zeta)
+    moebius = _subset_transform(coords, weights, _moebius)
+    walsh = _subset_transform(coords, weights, _walsh)
+    for out in (zeta, moebius, walsh):
+        assert sorted(out) == sorted(subsets)
+    for t in subsets:
+        inside = [s for s in subsets if set(s) <= set(t)]
+        assert zeta[t] == sum(w(s) for s in inside)
+        assert moebius[t] == sum((-1) ** (len(t) - len(s)) * w(s) for s in inside)
+        assert walsh[t] == sum((-1) ** len(set(s) & set(t)) * w(s) for s in subsets)
+    assert _subset_transform(coords, zeta, _moebius) == {t: w(t) for t in subsets}
