@@ -20,6 +20,7 @@ times its coefficient times 2^(-|W|).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -210,11 +211,16 @@ def check_sign_expansion(poly: MultilinearPoly, pairs: Sequence[Pair]) -> SignEx
         raise ValueError(f"k = {k} sign variables exceeds the exhaustive cap of 20")
     table = sign_expansion_table(poly, ps)
     expanded = _subset_transform(range(1, k + 1), table, _walsh)
-    supports = [(frozenset(s), c) for s, c in poly.terms]
+    # The direct side: supports and chosen sets as vertex bitmasks, and
+    # coefficients as integer numerators over one common denominator.
+    den = math.lcm(*(c.denominator for _, c in poly.terms))
+    supports = [
+        (sum(1 << v for v in s), c.numerator * (den // c.denominator)) for s, c in poly.terms
+    ]
     worst = Fraction(0)
     for signs in itertools.product((-1, 1), repeat=k):
-        chosen = frozenset(p[1] if s == 1 else p[0] for p, s in zip(ps, signs))
-        direct = sum((c for s, c in supports if s <= chosen), Fraction(0))
+        chosen = sum(1 << (p[1] if s == 1 else p[0]) for p, s in zip(ps, signs))
+        direct = Fraction(sum(c for m, c in supports if m & chosen == m), den)
         minus = tuple(i for i, s in enumerate(signs, start=1) if s == -1)
         worst = max(worst, abs(direct - expanded[minus]))
     return SignExpansionReport(k, table, worst, 2**k)

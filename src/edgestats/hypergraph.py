@@ -8,7 +8,9 @@ construction; all operations are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -61,6 +63,7 @@ class Hypergraph:
     r: int
     edges: tuple[Edge, ...]
     _edge_set: frozenset[Edge] | None = field(default=None, repr=False, compare=False)
+    _tail_index: dict[Edge, int] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -72,8 +75,8 @@ class Hypergraph:
 
     @property
     def edge_set(self) -> frozenset[Edge]:
-        # Built lazily: the membership index is only needed by the
-        # counting paths, and large constructed graphs may never ask.
+        # Built lazily: only membership questions (complement, callers)
+        # need it; counting reads the tail index instead.
         cached = object.__getattribute__(self, "_edge_set")
         if cached is None:
             cached = frozenset(self.edges)
@@ -129,9 +132,16 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
     inside an ascending sequence of ``size`` vertices.
 
     Picks the cheaper of two exact strategies once: scan the edge list
-    when it holds at most C(size, r) edges, otherwise enumerate the
-    r-subsets of the sequence against the membership index.  Only the
-    second strategy builds ``edge_set``.
+    when it holds at most C(size, r) edges, otherwise probe the tail
+    index with the (r-1)-subsets of the sequence.  The tail index maps
+    each prefix e[:-1] to the bitmask (bit v for vertex v) of the last
+    vertices of the edges that start with it, so an edge inside U is
+    counted once, at its own prefix, by the popcount of that mask and
+    U's mask: C(size, r-1) probes in place of C(size, r) membership
+    tests.  Only the second strategy builds the index, once per graph
+    (it is cached like ``edge_set``): the sorted edge list is walked one
+    prefix run at a time, each run's end found by bisection, so no
+    per-edge prefix tuple is made.
     """
     r = graph.r
     if graph.edge_count <= comb(size, r):
@@ -141,11 +151,30 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
             uset = frozenset(u)
             return sum(1 for e in edges if uset.issuperset(e))
 
-    else:
-        members = graph.edge_set
+        return count
 
-        def count(u: Sequence[int]) -> int:
-            return sum(1 for w in itertools.combinations(u, r) if w in members)
+    index = graph._tail_index
+    if index is None:
+        edges, n = graph.edges, graph.n
+        bit = [1 << v for v in range(n + 1)].__getitem__
+        last = operator.itemgetter(-1)
+        index = {}
+        i = 0
+        while i < len(edges):
+            prefix = edges[i][:-1]
+            j = bisect.bisect_left(edges, prefix + (n + 1,), i)
+            index[prefix] = sum(map(bit, map(last, edges[i:j])))
+            i = j
+        object.__setattr__(graph, "_tail_index", index)
+    tail_mask = index.get
+
+    def count(u: Sequence[int]) -> int:
+        mask = 0
+        for v in u:
+            mask |= 1 << v
+        return sum(
+            (tail_mask(p, 0) & mask).bit_count() for p in itertools.combinations(u, r - 1)
+        )
 
     return count
 

@@ -7,7 +7,9 @@ protocol, so identical seeds reproduce identical outputs bit for bit on
 any platform:
 
 * ``rand_below(rng, n)``   -- rejection sampling on ``getrandbits(n.bit_length())``
-* ``sample_ordered``       -- partial Fisher-Yates using ``rand_below``
+* ``sample_ordered``       -- partial Fisher-Yates using ``rand_below``,
+  kept sparse: only the swapped positions are stored, so a draw of k
+  vertices from [1..n] costs O(k), not O(n)
 * ``bernoulli``            -- exact rational coin: ``rand_below(den) < num``
 
 Nothing here ever calls ``random()``, ``sample`` or ``choice``, whose
@@ -43,17 +45,23 @@ def rand_below(rng: random.Random, n: int) -> int:
 def sample_ordered(rng: random.Random, n: int, k: int) -> list[int]:
     """Ordered sample of k distinct vertices from [1..n].
 
-    Partial Fisher-Yates: position i swaps with i + rand_below(n - i).
-    The returned order is part of the draw protocol (couplings consume it
-    pairwise), so callers that need a set must discard it themselves.
+    Partial Fisher-Yates (Durstenfeld's shuffle) on the pool 1..n:
+    position i swaps with j = i + rand_below(n - i) and then holds the
+    i-th output.  The pool is never built; ``moved`` holds the value of
+    each position that a swap has changed, and every other position j
+    still holds j + 1.  The returned order is part of the draw protocol
+    (couplings consume it pairwise), so callers that need a set must
+    discard it themselves.
     """
     if not 0 <= k <= n:
         raise ValueError(f"cannot sample {k} distinct vertices from [1..{n}]")
-    pool = list(range(1, n + 1))
+    moved: dict[int, int] = {}
+    out: list[int] = []
     for i in range(k):
         j = i + rand_below(rng, n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+        out.append(moved.get(j, j + 1))
+        moved[j] = moved.get(i, i + 1)
+    return out
 
 
 def bernoulli(rng: random.Random, p: Fraction) -> bool:

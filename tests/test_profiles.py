@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from edgestats.hypergraph import (
     from_edges,
+    induced_edge_count,
     induced_subgraph,
     random_hypergraph,
 )
@@ -142,7 +143,7 @@ def test_estimate_convergence_battery():
 @pytest.mark.parametrize("extra", [0, 1])
 def test_counting_kernel_at_its_switch_point(n, r, k, extra):
     """A graph with C(k, r) edges is counted by scanning its edge list,
-    one edge more switches to enumerating r-subsets; both strategies
+    one edge more switches to probing the tail index; both strategies
     agree with brute force in profiles and in seeded estimates."""
     rng = new_generator(100 * r + extra)
     pool = list(itertools.combinations(range(1, n + 1), r))
@@ -154,13 +155,43 @@ def test_counting_kernel_at_its_switch_point(n, r, k, extra):
 
     want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
     assert dict(exact_profile(g, k).counts) == want
-    # Only the enumerating strategy builds the membership index.
-    assert (g._edge_set is not None) == bool(extra)
+    # Only the enumerating strategy builds the tail index, and counting
+    # never builds the membership set.
+    assert (g._tail_index is not None) == bool(extra)
+    assert g._edge_set is None
 
     level = max(want, key=want.get)
     est = estimate_point(g, k, level, 300, seed=5)
     replay = new_generator(5)
     assert est.hits == sum(brute(sample_ordered(replay, n, k)) == level for _ in range(300))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_tail_index_counts_match_brute_force(r, seed):
+    """Every subset's count and every profile agree with brute force, on
+    random graphs that always hold an edge through vertex n (the highest
+    bit) and, for r = 1, index every edge under the empty prefix."""
+    rng = new_generator(1000 * r + seed)
+    n = 6 + rand_below(rng, 3)
+    g = random_hypergraph(n, r, Fraction(1, 2), rng)
+    top = tuple(range(n - r + 1, n + 1))
+    g = from_edges(n, r, set(g.edges) | {top})
+
+    def brute(u):
+        return sum(1 for e in g.edges if set(e) <= set(u))
+
+    for k in range(n + 1):
+        want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
+        assert dict(exact_profile(g, k).counts) == want, k
+    index = g._tail_index
+    assert index is not None
+    assert sum(mask.bit_count() for mask in index.values()) == g.edge_count
+    for k in range(n + 1):
+        for u in itertools.combinations(range(1, n + 1), k):
+            assert induced_edge_count(g, reversed(u)) == brute(u), u
+    assert g._tail_index is index
+    assert g._edge_set is None
 
 
 # ---------------------------------------------------------------------------

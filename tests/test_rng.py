@@ -1,6 +1,7 @@
 """The seeded draw protocol and the exact-rational wire format."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,37 @@ def test_sample_ordered_properties():
     assert sample_ordered(rng, 4, 0) == []
     with pytest.raises(ValueError):
         sample_ordered(rng, 3, 4)
+
+
+def dense_sample_ordered(rng, n, k):
+    """The reference draw: partial Fisher-Yates on a materialised pool."""
+    pool = list(range(1, n + 1))
+    for i in range(k):
+        j = i + rand_below(rng, n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+@pytest.mark.parametrize(
+    "n, k", [(1, 0), (1, 1), (5, 5), (12, 4), (24, 22), (120, 40), (400, 8), (2000, 20)]
+)
+def test_sparse_sampler_matches_the_dense_pool(n, k):
+    """Same list and same generator state afterwards, draw after draw."""
+    for seed in range(20):
+        sparse, dense = new_generator(seed), new_generator(seed)
+        for _ in range(3):
+            assert sample_ordered(sparse, n, k) == dense_sample_ordered(dense, n, k)
+            assert sparse.getstate() == dense.getstate()
+
+
+@pytest.mark.parametrize("n, k", [(0, -1), (3, -1), (0, 1), (3, 4)])
+def test_sample_ordered_refuses_impossible_sizes(n, k):
+    rng = new_generator(0)
+    state = rng.getstate()
+    message = f"cannot sample {k} distinct vertices from [1..{n}]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_ordered(rng, n, k)
+    assert rng.getstate() == state
 
 
 def test_bernoulli_degenerate_rates():
