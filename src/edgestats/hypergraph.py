@@ -8,9 +8,7 @@ construction; all operations are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -63,7 +61,7 @@ class Hypergraph:
     r: int
     edges: tuple[Edge, ...]
     _edge_set: frozenset[Edge] | None = field(default=None, repr=False, compare=False)
-    _tail_index: dict[Edge, int] | None = field(default=None, repr=False, compare=False)
+    _tail_index: dict[Edge, int] | bool | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -76,7 +74,8 @@ class Hypergraph:
     @property
     def edge_set(self) -> frozenset[Edge]:
         # Built lazily: only membership questions (complement, callers)
-        # need it; counting reads the tail index instead.
+        # need it; counting reads the tail index instead, unless that
+        # index would be too large.
         cached = object.__getattribute__(self, "_edge_set")
         if cached is None:
             cached = frozenset(self.edges)
@@ -127,21 +126,47 @@ def _trusted(n: int, r: int, sorted_edges: list[Edge]) -> Hypergraph:
     return Hypergraph(n, r, tuple(sorted_edges))
 
 
+# The tail index may hold this many mask bits per edge; a mask spans up
+# to its largest tail, so on a sparse graph with a large n the masks
+# would outgrow the edge set that counting probes instead.
+_TAIL_BITS_PER_EDGE = 1024
+
+
+def _tail_index(graph: Hypergraph) -> dict[Edge, int] | None:
+    """The tail index of ``graph``, or None where it would be too large.
+
+    It maps each prefix e[:-1] to the bitmask (bit v for vertex v) of the
+    last vertices of the edges that start with it.  One groupby pass over
+    the sorted edges builds it; each run's largest tail is charged to the
+    budget before its mask is made.  The result (an index, or False for
+    "too large") is cached on the graph like ``edge_set``.
+    """
+    cached = graph._tail_index
+    if cached is None:
+        cached = {}
+        budget = _TAIL_BITS_PER_EDGE * graph.edge_count
+        for prefix, group in itertools.groupby(graph.edges, key=lambda e: e[:-1]):
+            run = list(group)
+            budget -= run[-1][-1]
+            if budget < 0:
+                cached = False
+                break
+            cached[prefix] = sum(1 << e[-1] for e in run)
+        object.__setattr__(graph, "_tail_index", cached)
+    return cached or None
+
+
 def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int]:
     """The induced-count kernel: a function counting the edges of ``graph``
     inside an ascending sequence of ``size`` vertices.
 
-    Picks the cheaper of two exact strategies once: scan the edge list
-    when it holds at most C(size, r) edges, otherwise probe the tail
-    index with the (r-1)-subsets of the sequence.  The tail index maps
-    each prefix e[:-1] to the bitmask (bit v for vertex v) of the last
-    vertices of the edges that start with it, so an edge inside U is
-    counted once, at its own prefix, by the popcount of that mask and
-    U's mask: C(size, r-1) probes in place of C(size, r) membership
-    tests.  Only the second strategy builds the index, once per graph
-    (it is cached like ``edge_set``): the sorted edge list is walked one
-    prefix run at a time, each run's end found by bisection, so no
-    per-edge prefix tuple is made.
+    Picks the cheaper exact strategy once: scan the edge list when it
+    holds at most C(size, r) edges, otherwise enumerate subsets of the
+    sequence.  Enumeration reads the tail index: an edge inside U is
+    counted once, at its own prefix, by the popcount of that prefix's
+    mask and U's mask, so C(size, r-1) probes replace C(size, r)
+    membership tests.  Where the index would be too large (a sparse graph
+    on very many vertices), it tests the r-subsets against ``edge_set``.
     """
     r = graph.r
     if graph.edge_count <= comb(size, r):
@@ -153,19 +178,15 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
 
         return count
 
-    index = graph._tail_index
+    index = _tail_index(graph)
     if index is None:
-        edges, n = graph.edges, graph.n
-        bit = [1 << v for v in range(n + 1)].__getitem__
-        last = operator.itemgetter(-1)
-        index = {}
-        i = 0
-        while i < len(edges):
-            prefix = edges[i][:-1]
-            j = bisect.bisect_left(edges, prefix + (n + 1,), i)
-            index[prefix] = sum(map(bit, map(last, edges[i:j])))
-            i = j
-        object.__setattr__(graph, "_tail_index", index)
+        members = graph.edge_set
+
+        def count(u: Sequence[int]) -> int:
+            return sum(1 for w in itertools.combinations(u, r) if w in members)
+
+        return count
+
     tail_mask = index.get
 
     def count(u: Sequence[int]) -> int:

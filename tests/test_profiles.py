@@ -2,6 +2,7 @@
 exact conditional-expectation tables."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -185,13 +186,51 @@ def test_tail_index_counts_match_brute_force(r, seed):
         want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
         assert dict(exact_profile(g, k).counts) == want, k
     index = g._tail_index
-    assert index is not None
+    assert isinstance(index, dict)
+    assert len(index) == len({e[:-1] for e in g.edges})
     assert sum(mask.bit_count() for mask in index.values()) == g.edge_count
     for k in range(n + 1):
         for u in itertools.combinations(range(1, n + 1), k):
             assert induced_edge_count(g, reversed(u)) == brute(u), u
     assert g._tail_index is index
     assert g._edge_set is None
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # eleven far-apart edges: the first run already exceeds the budget
+        [(v, 10**6 - v) for v in range(1, 12)],
+        # a dense corner that fits, then one far edge in the last run
+        [*itertools.combinations(range(1, 11), 2), (10, 10**6)],
+    ],
+)
+def test_sparse_graph_on_a_million_vertices_counts_without_the_index(edges):
+    """A graph whose masks would span a million bits is counted by edge-set
+    probes: no index is kept, nothing n-sized is allocated, and counts and
+    seeded estimates agree with brute force."""
+    n, k = 10**6, 5
+    g = from_edges(n, 2, edges)
+    assert g.edge_count > comb(k, 2)
+
+    def brute(u):
+        return sum(1 for e in edges if set(e) <= set(u))
+
+    rng = new_generator(9)
+    subsets = [sample_ordered(rng, n, k) for _ in range(50)]
+    subsets += [sorted({e[0] for e in edges[:3]} | {e[1] for e in edges[:2]})]
+    tracemalloc.start()
+    try:
+        for u in subsets:
+            assert induced_edge_count(g, u) == brute(u), u
+        est = estimate_point(g, k, 0, 200, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert g._tail_index is False
+    replay = new_generator(3)
+    assert est.hits == sum(brute(sample_ordered(replay, n, k)) == 0 for _ in range(200))
 
 
 # ---------------------------------------------------------------------------
