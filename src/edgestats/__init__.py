@@ -7,162 +7,24 @@ exact sign-expansion coefficients, signed pair-sequence discrepancy,
 anticoncentration comparisons (hypergeometric vs binomial, junta
 pushforwards, Poisson-type interval bounds, slice moments), and greedy
 vertex covers whose residual graphs all certify large matchings.
+
+The package re-exports the ``__all__`` of each of those seven modules,
+which is the one list of their public names.
 """
 
-from .anticonc import (
-    PoissonReport,
-    SliceMoments,
-    TVReport,
-    binom_pmf,
-    hypergeom_binom_tv,
-    hypergeom_pmf,
-    junta_tv,
-    max_prob_binomial_one,
-    poisson_interval_check,
-    slice_covariance,
-    slice_moments,
-    slice_monomial_mean,
-)
-from .coupling import (
-    Coupling,
-    LOThresholds,
-    SignExpansionReport,
-    check_sign_expansion,
-    coefficient_bound,
-    lo_thresholds,
-    minimal_dense_core,
-    sample_coupling,
-    sign_expansion_coefficient,
-    sign_expansion_table,
-    top_extension_count,
-)
-from .cover import (
-    CoverCertificate,
-    CoverStep,
-    CoverVerification,
-    ResidualGraph,
-    default_step_cap,
-    edge_residues,
-    greedy_cover,
-    relevant_sets,
-    residual,
-    verify_cover,
-)
-from .discrepancy import (
-    DiscrepancyReport,
-    HeavyBlocksReport,
-    SequenceWeight,
-    heavy_disjoint_blocks,
-    signed_discrepancy,
-)
-from .hypergraph import (
-    Hypergraph,
-    LiftConstruction,
-    construct_lift,
-    construct_split,
-    format_hg,
-    from_edges,
-    induced_edge_count,
-    induced_subgraph,
-    lex_min_maximum_matching,
-    lift_supersets,
-    lift_target_level,
-    matching_number,
-    parse_hg,
-    random_hypergraph,
-    split_target_level,
-)
-from .multilinear import (
-    MultilinearPoly,
-    ValueDistribution,
-    constant_exceeds,
-    edge_indicator_poly,
-    exhaustive_distribution,
-    format_mlp,
-    multiply_mod_squares,
-    parse_mlp,
-    threshold_hypergraph,
-)
-from .profiles import (
-    EdgeProfile,
-    JuntaEntry,
-    JuntaTable,
-    PointEstimate,
-    conditional_junta,
-    estimate_point,
-    exact_profile,
-)
+from . import anticonc, coupling, cover, discrepancy, hypergraph, multilinear, profiles
+from .anticonc import *
+from .coupling import *
+from .cover import *
+from .discrepancy import *
+from .hypergraph import *
+from .multilinear import *
+from .profiles import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Hypergraph",
-    "LiftConstruction",
-    "from_edges",
-    "induced_edge_count",
-    "induced_subgraph",
-    "matching_number",
-    "lex_min_maximum_matching",
-    "construct_lift",
-    "lift_supersets",
-    "lift_target_level",
-    "construct_split",
-    "split_target_level",
-    "random_hypergraph",
-    "parse_hg",
-    "format_hg",
-    "EdgeProfile",
-    "exact_profile",
-    "PointEstimate",
-    "estimate_point",
-    "JuntaEntry",
-    "JuntaTable",
-    "conditional_junta",
-    "MultilinearPoly",
-    "ValueDistribution",
-    "edge_indicator_poly",
-    "threshold_hypergraph",
-    "constant_exceeds",
-    "multiply_mod_squares",
-    "exhaustive_distribution",
-    "parse_mlp",
-    "format_mlp",
-    "Coupling",
-    "sample_coupling",
-    "sign_expansion_coefficient",
-    "sign_expansion_table",
-    "SignExpansionReport",
-    "check_sign_expansion",
-    "coefficient_bound",
-    "LOThresholds",
-    "lo_thresholds",
-    "top_extension_count",
-    "minimal_dense_core",
-    "SequenceWeight",
-    "DiscrepancyReport",
-    "signed_discrepancy",
-    "HeavyBlocksReport",
-    "heavy_disjoint_blocks",
-    "TVReport",
-    "hypergeom_pmf",
-    "binom_pmf",
-    "hypergeom_binom_tv",
-    "max_prob_binomial_one",
-    "PoissonReport",
-    "poisson_interval_check",
-    "junta_tv",
-    "slice_monomial_mean",
-    "slice_covariance",
-    "SliceMoments",
-    "slice_moments",
-    "edge_residues",
-    "relevant_sets",
-    "ResidualGraph",
-    "residual",
-    "CoverStep",
-    "CoverCertificate",
-    "default_step_cap",
-    "greedy_cover",
-    "CoverVerification",
-    "verify_cover",
+    name
+    for module in (hypergraph, profiles, multilinear, coupling, discrepancy, anticonc, cover)
+    for name in module.__all__
 ]

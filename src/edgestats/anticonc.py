@@ -253,6 +253,10 @@ def junta_tv(
 # ---------------------------------------------------------------------------
 # Exact slice moments
 
+# slice_moments tabulates every subset of every support, sum of 2^|S|
+# entries, and refuses up front to tabulate more than this.
+MOMENT_SUBSET_CAP = 2**20
+
 
 def slice_monomial_mean(size: int, n: int, k: int) -> Fraction:
     """E of a 0/1 monomial on a given support size under the uniform
@@ -296,13 +300,20 @@ def slice_moments(poly: MultilinearPoly, n: int, k: int) -> SliceMoments:
     size, the pair mass at each intersection size j follows by binomial
     inversion from the subset sums S_o = sum over o-sets A of (total
     coefficient weight covering A) squared, each computable in one pass
-    over the supports; covariances then depend only on (sizes, j).
+    over the supports; covariances then depend only on (sizes, j).  The
+    tables hold every subset of every support, so supports with more than
+    MOMENT_SUBSET_CAP subsets in all are refused before they are built.
     """
     if not 0 <= k <= n:
         raise ValueError(f"slice weight {k} outside [0..{n}]")
     active = poly.active_variables
     if active and (active[0] < 1 or active[-1] > n):
         raise ValueError(f"polynomial variables leave the slice range [1..{n}]")
+    subsets = sum(1 << len(s) for s, _ in poly.terms)
+    if subsets > MOMENT_SUBSET_CAP:
+        raise ValueError(
+            f"the supports have {subsets} subsets, past the enumeration cap of {MOMENT_SUBSET_CAP}"
+        )
 
     mean = sum(
         (c * slice_monomial_mean(len(s), n, k) for s, c in poly.terms), Fraction(0)

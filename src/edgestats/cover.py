@@ -165,10 +165,6 @@ class CoverCertificate:
     terminated: bool
     step_cap: int
 
-    @property
-    def step_cap_hit(self) -> bool:
-        return not self.terminated
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

@@ -53,8 +53,7 @@ class Hypergraph:
     """An r-uniform hypergraph on vertex set [1..n].
 
     ``edges`` is a sorted tuple of ascending vertex tuples.  Use
-    :func:`from_edges` (or the equivalent classmethod) to build one from
-    raw data with full validation.
+    :func:`from_edges` to build one from raw data with full validation.
     """
 
     n: int
@@ -62,10 +61,6 @@ class Hypergraph:
     edges: tuple[Edge, ...]
     _edge_set: frozenset[Edge] | None = field(default=None, repr=False, compare=False)
     _tail_index: dict[Edge, int] | bool | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        return from_edges(n, r, edges)
 
     @property
     def edge_count(self) -> int:
@@ -81,12 +76,6 @@ class Hypergraph:
             cached = frozenset(self.edges)
             object.__setattr__(self, "_edge_set", cached)
         return cached
-
-    def induced_edge_count(self, subset: Iterable[int]) -> int:
-        return induced_edge_count(self, subset)
-
-    def matching_number(self) -> int:
-        return matching_number(self)
 
     def complement(self) -> "Hypergraph":
         """The r-uniform complement: all r-sets of [1..n] not in self."""
@@ -323,11 +312,29 @@ def lift_target_level(k: int, s: int, r: int) -> int:
     return comb(k - s, r - s)
 
 
+# The constructions refuse, before building anything, to draw or build
+# more than this many edges.  The paper's split graph (n = 400, 100 side
+# vertices, r = 3) has 4,485,000 edges and peaks at about 400 MiB.
+MAX_CONSTRUCTED_EDGES = 10**7
+
+
+def _check_construction_size(what: str, count: int) -> None:
+    if count > MAX_CONSTRUCTED_EDGES:
+        raise ValueError(
+            f"{what} = {count} exceeds the construction cap of {MAX_CONSTRUCTED_EDGES}"
+        )
+
+
 def lift_supersets(base: Hypergraph, r: int) -> Hypergraph:
     """All r-sets of [1..n] containing at least one edge of ``base``."""
     if r < base.r:
         raise ValueError(f"lift uniformity {r} is below the base uniformity {base.r}")
     n = base.n
+    if base.edges:  # then n >= base.r, as every edge lies in [1..n]
+        _check_construction_size(
+            f"{base.edge_count} base edges times C({n - base.r},{r - base.r}) supersets",
+            base.edge_count * comb(n - base.r, r - base.r),
+        )
     out: set[Edge] = set()
     for f in base.edges:
         fset = set(f)
@@ -341,9 +348,12 @@ def construct_lift(n: int, k: int, s: int, r: int, seed: int) -> LiftConstructio
     """Seeded lift: sample an s-uniform base with edge probability
     1/C(k,s) (each s-set decided by one exact Bernoulli draw, in
     lexicographic order), then take all r-sets covering a base edge.
+    Refuses more than MAX_CONSTRUCTED_EDGES draws, or base edges times
+    supersets per base edge, before making them.
     """
     if not 1 <= s <= r <= k <= n:
         raise ValueError(f"need 1 <= s <= r <= k <= n, got s={s}, r={r}, k={k}, n={n}")
+    _check_construction_size(f"C({n},{s}) base draws", comb(n, s))
     rng = new_generator(seed)
     p = Fraction(1, comb(k, s))
     base_edges = [
@@ -360,7 +370,8 @@ def split_target_level(k: int, s_hits: int, r: int) -> int:
 
 
 def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
-    """All r-sets meeting the distinguished vertex set in exactly one vertex."""
+    """All r-sets meeting the distinguished vertex set in exactly one vertex.
+    Refuses up front to build more than MAX_CONSTRUCTED_EDGES of them."""
     if r < 1:
         raise ValueError(f"uniformity must be a positive integer, got {r}")
     s = sorted(set(side))
@@ -368,6 +379,9 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
         raise ValueError(f"distinguished side leaves the vertex range [1..{n}]")
     if r > n:
         raise ValueError(f"uniformity {r} exceeds vertex count {n}")
+    _check_construction_size(
+        f"{len(s)} * C({n - len(s)},{r - 1}) split edges", len(s) * comb(n - len(s), r - 1)
+    )
     sset = set(s)
     rest = [v for v in range(1, n + 1) if v not in sset]
     edges = [

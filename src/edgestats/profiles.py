@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 from .hypergraph import Hypergraph, _edge_counter, _trace_groups
 from .multilinear import MultilinearPoly, _moebius, _subset_transform, _zeta
 from .rng import new_generator, sample_ordered
-from .serialize import format_int, format_rational
+from .serialize import format_rational
 
 __all__ = [
     "EdgeProfile",
@@ -57,9 +57,9 @@ class EdgeProfile:
         return {
             "n": self.n,
             "k": self.k,
-            "total": format_int(self.total),
+            "total": str(self.total),
             "counts": {
-                str(level): format_int(mult) for level, mult in sorted(self.counts.items())
+                str(level): str(mult) for level, mult in sorted(self.counts.items())
             },
         }
 

@@ -1,12 +1,12 @@
 """Exact-value serialization helpers shared by file formats, JSON reports
-and the CLI: rationals travel as "num/den" strings, unbounded integers as
-plain decimal strings, so nothing is ever rounded."""
+and the CLI: rationals travel as "num/den" strings and unbounded integers
+as plain decimal strings (``str``), so nothing is ever rounded."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["format_rational", "parse_rational", "format_int", "parse_int"]
+__all__ = ["format_rational", "parse_rational"]
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -24,13 +24,3 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}: {exc}") from None
 
-
-def format_int(x: int) -> str:
-    return str(x)
-
-
-def parse_int(text: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ValueError(f"invalid integer literal {text!r}") from None

@@ -301,3 +301,10 @@ def test_slice_moments_validation():
         slice_moments(poly, 5, 2)
     with pytest.raises(ValueError, match="slice weight"):
         slice_moments(MultilinearPoly.zero(4), 4, 5)
+
+
+def test_slice_moments_refuses_too_many_support_subsets():
+    # Two 20-variable supports have 2 * 2^20 subsets to tabulate.
+    poly = MultilinearPoly.from_terms(21, {tuple(range(1, 21)): 1, tuple(range(2, 22)): 1})
+    with pytest.raises(ValueError, match="2097152 subsets, past the enumeration cap of 1048576"):
+        slice_moments(poly, 21, 10)

@@ -4,6 +4,7 @@ byte-for-byte determinism, and file round trips."""
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from edgestats import cli
 from edgestats.anticonc import junta_tv
 from edgestats.cli import main
 from edgestats.hypergraph import format_hg, from_edges, parse_hg
-from edgestats.multilinear import MultilinearPoly, format_mlp
+from edgestats.multilinear import MultilinearPoly, format_mlp, parse_mlp
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
@@ -304,6 +305,63 @@ def test_bad_header_names_the_line(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("4 2\n1 x\n", "line 2: non-integer vertex id"),
+        ("4 2\n2 1\n", "line 2: vertices must be strictly ascending"),
+        ("4 2\n1 1\n", "line 2: vertices must be strictly ascending"),
+        ("4 2\n0 1\n", "line 2: vertex outside [1..4]"),
+        ("4 2\n1 5\n", "line 2: vertex outside [1..4]"),
+        ("4 2\n1 2 3\n", "line 2: edge has 3 vertices, expected 2"),
+        ("4 2\n1 2\n# again\n1 2\n", "line 4: duplicate edge (1, 2)"),
+        ("nonsense\n1 2\n", "line 1: header must be '<n> <r>'"),
+        ("# n r\n4 x\n", "line 2: header must hold two integers"),
+        ("4 0\n", "line 1: invalid header values n=4, r=0"),
+        ("# only a comment\n\n", "empty input: missing '<n> <r>' header line"),
+    ],
+)
+def test_malformed_hg_is_refused_with_its_line(tmp_path, capsys, text, message):
+    with pytest.raises(ValueError) as info:
+        parse_hg(text)
+    assert str(info.value).startswith(message)
+    path = tmp_path / "bad.hg"
+    path.write_text(text)
+    code, out, err = run_cli(["profile", "--input", str(path), "--k", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n1 : 1 x\n", "line 2: non-integer variable id"),
+        ("3\n1/x : 1\n", "line 2: invalid rational literal"),
+        ("3\n1 : 2 1\n", "line 2: variables must be strictly ascending"),
+        ("3\n1 : 0 1\n", "line 2: variable outside [1..3]"),
+        ("3\n1 : 1 4\n", "line 2: variable outside [1..3]"),
+        ("3\n1 : 1 2\n\n2 : 1 2\n", "line 4: duplicate support (1, 2)"),
+        ("3\n1 2\n", "line 2: expected '<coeff> : <vars>'"),
+        ("three\n", "line 1: header must be the variable count"),
+        ("# n\n-1\n", "line 2: negative variable count -1"),
+        ("# only a comment\n", "empty input: missing variable-count header line"),
+    ],
+)
+def test_malformed_mlp_is_refused_with_its_line(tmp_path, capsys, text, message):
+    with pytest.raises(ValueError) as info:
+        parse_mlp(text)
+    assert str(info.value).startswith(message)
+    path = tmp_path / "bad.mlp"
+    path.write_text(text)
+    code, out, err = run_cli(
+        ["anticonc", "moments", "--input", str(path), "--n", "3", "--k", "1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_sampling_mode_requires_a_seed(poly_path, capsys):
     code, _, err = run_cli(
         ["coupling-check", "--input", poly_path, "--sample-k", "2"], capsys
@@ -377,6 +435,15 @@ def test_construct_into_a_missing_directory_is_a_usage_error(tmp_path, capsys, c
 # the exit-code contract on parameter edge cases
 
 
+# One 30-variable support has 2^30 subsets to tabulate; the split graph
+# would have about 9.0e9 edges and the lift about 5.0e9.
+OVERSIZED = [
+    "anticonc moments --input {wide_support} --n 30 --k 10",
+    "construct split --n 3000 --side 1,2 --r 4 --out {out}",
+    "construct lift --n 100000 --k 2 --s 1 --r 2 --seed 0 --out {out}",
+]
+
+
 @pytest.fixture
 def sweep_inputs(tmp_path):
     leaves = 1500
@@ -387,6 +454,7 @@ def sweep_inputs(tmp_path):
         "star": f"{leaves + 1} 2\n" + "".join(f"1 {v}\n" for v in range(2, leaves + 2)),
         "poly": "2\n1 : 1 2\n",
         "wide": "30\n" + "".join(f"1 : {v}\n" for v in range(1, 31)),
+        "wide_support": "30\n1 : " + " ".join(str(v) for v in range(1, 31)) + "\n",
     }
     paths = {"dir": str(tmp_path), "out": str(tmp_path / "out.hg")}
     for name, text in texts.items():
@@ -445,6 +513,8 @@ def sweep_inputs(tmp_path):
         "cover verify --input {c5} --pivot 1,2 --m 1",
         # a junta past the 2^14 arity cap, refused before its table is built
         "anticonc junta-tv --input {wide} --n 60 --k 2",
+        # work past a cap, refused before it starts
+        *OVERSIZED,
     ],
 )
 def test_every_edge_case_keeps_the_exit_code_contract(argv, sweep_inputs, capsys):
@@ -454,6 +524,15 @@ def test_every_edge_case_keeps_the_exit_code_contract(argv, sweep_inputs, capsys
         assert out == ""
     else:
         json.loads(out)
+
+
+@pytest.mark.parametrize("argv", OVERSIZED)
+def test_oversized_work_is_refused_before_it_starts(argv, sweep_inputs, capsys):
+    code, out, err = run_cli([word.format(**sweep_inputs) for word in argv.split()], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+    assert not (Path(sweep_inputs["dir"]) / "out.hg").exists()
 
 
 @pytest.mark.parametrize("side, r", [("", "0"), ("", "-3"), ("1 2", "0")])

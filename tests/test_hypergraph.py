@@ -2,6 +2,7 @@
 two named constructions, and the .hg text format."""
 
 import itertools
+import re
 import sys
 from fractions import Fraction
 
@@ -212,6 +213,21 @@ def test_lift_s_equals_r_is_identity():
     base = from_edges(6, 2, [[1, 2], [3, 4]])
     assert lift_supersets(base, 2).edges == base.edges
     assert lift_target_level(5, 2, 2) == 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: construct_lift(5000, 10, 2, 3, 0), "C(5000,2) base draws = 12497500"),
+        (
+            lambda: lift_supersets(from_edges(10**4, 1, [[1], [2]]), 3),
+            "2 base edges times C(9999,2) supersets = 99970002",
+        ),
+    ],
+)
+def test_lift_refuses_past_the_construction_cap_before_building(build, message):
+    with pytest.raises(ValueError, match=re.escape(f"{message} exceeds the construction cap")):
+        build()
 
 
 def test_lift_monotone_in_base():
