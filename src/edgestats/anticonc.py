@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .multilinear import MultilinearPoly, exhaustive_distribution
+from .multilinear import MultilinearPoly, _cover_sums, exhaustive_distribution
 from .serialize import format_rational
 
 __all__ = [
@@ -325,16 +325,7 @@ def slice_moments(poly: MultilinearPoly, n: int, k: int) -> SliceMoments:
 
     # cover[w][o]: o-subset -> total coefficient weight of size-w supports
     # containing it.
-    cover: dict[int, list[dict[tuple[int, ...], Fraction]]] = {}
-    for w, members in classes.items():
-        per_o: list[dict[tuple[int, ...], Fraction]] = []
-        for o in range(w + 1):
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for s, c in members:
-                for a in itertools.combinations(s, o):
-                    acc[a] = acc.get(a, Fraction(0)) + c
-            per_o.append(acc)
-        cover[w] = per_o
+    cover = {w: [_cover_sums(members, o) for o in range(w + 1)] for w, members in classes.items()}
 
     mono_cache: dict[int, Fraction] = {}
 

@@ -1,14 +1,21 @@
 """Signed pair-sequence discrepancy of uniform hypergraphs.
 
 For an ordered 2s-tuple of distinct vertices, read consecutively as s
-(minus, plus) pairs, the weight is the absolute signed sum of edge
+(minus, plus) pairs, the weight is |sum over edges e of prod_i
+(1[plus_i in e] - 1[minus_i in e])|: the absolute signed sum of edge
 indicators over all r-sets meeting every pair exactly once, the sign
 flipping once per minus slot covered.  The discrepancy total sums these
-weights over all ordered 2s-tuples.  Swapping the two slots of any pair
-flips every compatible set's sign, so the constant function contributes
-nothing and a graph and its complement have identical weights; the
-implementation therefore iterates only over the sparser of the two edge
-lists, never over all r-sets.
+weights over all ordered 2s-tuples.
+
+Expanding the product, a weight is the signed sum, over the 2^s
+transversals T of the pairs (one slot from each), of the co-degree d(T),
+the number of edges containing T, with sign (-1)^(minus slots in T).
+The co-degrees are tabulated in one pass over the edges; with the first
+s - 1 pairs fixed, the last pair weighs f(plus) - f(minus) for one
+function f of a vertex, so no edge is scanned per sequence.  The
+complement's co-degrees are C(n-s, r-s) - d(T), and a constant cancels
+over the transversals (their signs sum to 0), so a graph and its
+complement have identical weights.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from math import comb, perm
 from typing import Sequence
 
 from .coupling import sign_expansion_coefficient
-from .multilinear import MultilinearPoly
+from .multilinear import MultilinearPoly, _cover_sums
 from .serialize import format_rational
 
 __all__ = [
@@ -32,7 +39,9 @@ __all__ = [
 ]
 
 DEFAULT_TERM_CAP = 10**9
-_COMPLEMENT_MATERIALIZE_CAP = 10**7
+# collect_weights (the CLI's --top) keeps one weight per ordered 2s-tuple,
+# about 180 bytes each; the same ceiling as MAX_CONSTRUCTED_EDGES.
+MAX_STORED_WEIGHTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -91,10 +100,12 @@ def signed_discrepancy(
 ) -> DiscrepancyReport:
     """Exact discrepancy total at pair count ``s`` for an r-uniform graph.
 
-    Work is bounded by (ordered 2s-tuples) x (edges scanned per tuple);
-    the product of the tuple count and C(n, r-s) must stay under
-    ``term_cap``.  Every per-sequence weight is checked against the size
-    bound 2^s * n^(r-s) as it is produced.
+    ``term_cap`` bounds n^(2s) * C(n, r-s), the terms of scanning the
+    compatible r-sets for every tuple.  The co-degree evaluation below
+    does far less work, but the same inputs are refused.  Collecting the
+    weights stores one per ordered 2s-tuple, refused past
+    MAX_STORED_WEIGHTS.  Every per-sequence weight is checked against the
+    size bound 2^s * n^(r-s) as it is produced.
     """
     n, r = graph.n, graph.r
     if not 1 <= s <= r:
@@ -107,52 +118,37 @@ def signed_discrepancy(
             f"about {n ** (2 * s) * comb(n, r - s)} elementary terms exceeds the cap "
             f"{term_cap}; raise term_cap to force the enumeration"
         )
+    if collect_weights and seq_count > MAX_STORED_WEIGHTS:
+        raise ValueError(
+            f"storing {seq_count} sequence weights exceeds the cap of {MAX_STORED_WEIGHTS}"
+        )
 
-    scan = [frozenset(e) for e in graph.edges]
-    total_sets = comb(n, r)
-    if len(scan) > total_sets // 2 and total_sets <= _COMPLEMENT_MATERIALIZE_CAP:
-        # Same weights, fewer sets to scan per sequence.
-        scan = [frozenset(w) for w in graph.complement().edges]
-
+    codegree = _cover_sums(((e, 1) for e in graph.edges), s)
+    vertices = range(1, n + 1)
     bound = 2**s * n ** (r - s)
     total = 0
     max_weight = 0
     collected: list[SequenceWeight] = [] if collect_weights else None
-    for seq in itertools.permutations(range(1, n + 1), 2 * s):
-        signed = 0
-        for e in scan:
-            sign = 1
-            ok = True
-            for i in range(s):
-                minus, plus = seq[2 * i], seq[2 * i + 1]
-                hits = (minus in e) + (plus in e)
-                if hits != 1:
-                    ok = False
-                    break
-                if minus in e:
-                    sign = -sign
-            if ok:
-                signed += sign
-        weight = abs(signed)
-        if weight > bound:
-            raise AssertionError(
-                f"sequence {seq} has weight {weight} above the bound {bound}"
-            )
-        total += weight
-        if weight > max_weight:
-            max_weight = weight
-        if collected is not None:
-            collected.append(SequenceWeight(seq, weight))
-    return DiscrepancyReport(
-        n,
-        r,
-        s,
-        total,
-        max_weight,
-        seq_count,
-        bound,
-        tuple(collected) if collected is not None else None,
-    )
+    for prefix in itertools.permutations(vertices, 2 * s - 2):
+        # The signed transversals of the first s - 1 pairs; the last pair
+        # (minus, plus) then weighs f(plus) - f(minus) before the absolute value.
+        signed = [((), 1)]
+        for minus, plus in zip(prefix[::2], prefix[1::2]):
+            signed = [(t + (plus,), c) for t, c in signed] + [(t + (minus,), -c) for t, c in signed]
+        rest = [v for v in vertices if v not in prefix]
+        f = {v: sum(c * codegree.get(tuple(sorted(t + (v,))), 0) for t, c in signed) for v in rest}
+        for minus, plus in itertools.permutations(rest, 2):
+            weight = abs(f[plus] - f[minus])
+            if weight > bound:
+                seq = prefix + (minus, plus)
+                raise AssertionError(f"sequence {seq} has weight {weight} above the bound {bound}")
+            total += weight
+            if weight > max_weight:
+                max_weight = weight
+            if collected is not None:
+                collected.append(SequenceWeight(prefix + (minus, plus), weight))
+    weights = tuple(collected) if collected is not None else None
+    return DiscrepancyReport(n, r, s, total, max_weight, seq_count, bound, weights)
 
 
 @dataclass(frozen=True)

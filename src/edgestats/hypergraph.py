@@ -109,12 +109,6 @@ def from_edges(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     return Hypergraph(n, r, tuple(canon))
 
 
-def _trusted(n: int, r: int, sorted_edges: list[Edge]) -> Hypergraph:
-    """Internal constructor for generators that already produce canonical,
-    duplicate-free, sorted edges; skips the per-edge validation pass."""
-    return Hypergraph(n, r, tuple(sorted_edges))
-
-
 # The tail index may hold this many mask bits per edge; a mask spans up
 # to its largest tail, so on a sparse graph with a large n the masks
 # would outgrow the edge set that counting probes instead.
@@ -341,25 +335,20 @@ def lift_supersets(base: Hypergraph, r: int) -> Hypergraph:
         rest = [v for v in range(1, n + 1) if v not in fset]
         for t in itertools.combinations(rest, r - base.r):
             out.add(tuple(sorted(f + t)))
-    return _trusted(n, r, sorted(out))
+    return Hypergraph(n, r, tuple(sorted(out)))
 
 
 def construct_lift(n: int, k: int, s: int, r: int, seed: int) -> LiftConstruction:
-    """Seeded lift: sample an s-uniform base with edge probability
-    1/C(k,s) (each s-set decided by one exact Bernoulli draw, in
-    lexicographic order), then take all r-sets covering a base edge.
+    """Seeded lift: the base is random_hypergraph(n, s, 1/C(k,s), seed),
+    each s-set decided by one exact Bernoulli draw in lexicographic order;
+    the lift takes all r-sets covering a base edge.
     Refuses more than MAX_CONSTRUCTED_EDGES draws, or base edges times
     supersets per base edge, before making them.
     """
     if not 1 <= s <= r <= k <= n:
         raise ValueError(f"need 1 <= s <= r <= k <= n, got s={s}, r={r}, k={k}, n={n}")
     _check_construction_size(f"C({n},{s}) base draws", comb(n, s))
-    rng = new_generator(seed)
-    p = Fraction(1, comb(k, s))
-    base_edges = [
-        w for w in itertools.combinations(range(1, n + 1), s) if bernoulli(rng, p)
-    ]
-    base = _trusted(n, s, base_edges)
+    base = random_hypergraph(n, s, Fraction(1, comb(k, s)), seed)
     return LiftConstruction(lift_supersets(base, r), base, lift_target_level(k, s, r))
 
 
@@ -390,7 +379,7 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
         for t in itertools.combinations(rest, r - 1)
     ]
     edges.sort()
-    return _trusted(n, r, edges)
+    return Hypergraph(n, r, tuple(edges))
 
 
 def random_hypergraph(n: int, r: int, p: Fraction | int, seed_or_rng) -> Hypergraph:
@@ -401,7 +390,7 @@ def random_hypergraph(n: int, r: int, p: Fraction | int, seed_or_rng) -> Hypergr
     edges = [
         w for w in itertools.combinations(range(1, n + 1), r) if bernoulli(rng, p)
     ]
-    return _trusted(n, r, edges)
+    return Hypergraph(n, r, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +436,7 @@ def parse_hg(text: str) -> Hypergraph:
     if n is None:
         raise ValueError("empty input: missing '<n> <r>' header line")
     edges.sort()
-    return _trusted(n, r, edges)
+    return Hypergraph(n, r, tuple(edges))
 
 
 def format_hg(graph: Hypergraph) -> str:

@@ -15,11 +15,12 @@ while remaining a plain exhaustive enumeration semantically.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .hypergraph import Hypergraph, _trusted
+from .hypergraph import Hypergraph
 from .serialize import format_rational, parse_rational
 
 __all__ = [
@@ -160,7 +161,7 @@ def threshold_hypergraph(poly: MultilinearPoly, bound: Fraction | int, d: int) -
         raise ValueError("threshold_hypergraph needs d >= 1; use constant_exceeds for d = 0")
     b = Fraction(bound)
     edges = sorted(s for s, c in poly.terms if len(s) == d and abs(c) > b)
-    return _trusted(poly.n, d, edges)
+    return Hypergraph(poly.n, d, tuple(edges))
 
 
 def constant_exceeds(poly: MultilinearPoly, bound: Fraction | int) -> bool:
@@ -185,7 +186,21 @@ def multiply_mod_squares(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearP
 
 
 # ---------------------------------------------------------------------------
-# The subset-lattice kernel (Yates' butterfly) and its three pair functions
+# The subset-lattice kernels: co-degrees, and Yates' butterfly with its
+# three pair functions
+
+
+def _cover_sums(
+    terms: Iterable[tuple[Support, Fraction | int]], size: int
+) -> dict[Support, Fraction | int]:
+    """For every size-subset A of some support, the total weight of the
+    supports containing A, keyed by ascending tuple: with unit weights on
+    a graph's edges, the co-degrees d(A)."""
+    acc: dict[Support, Fraction | int] = {}
+    for support, weight in terms:
+        for a in itertools.combinations(support, size):
+            acc[a] = acc.get(a, 0) + weight
+    return acc
 
 
 def _subset_transform(coords: Sequence[int], weights: Mapping[Support, Fraction | int], butterfly):

@@ -436,11 +436,13 @@ def test_construct_into_a_missing_directory_is_a_usage_error(tmp_path, capsys, c
 
 
 # One 30-variable support has 2^30 subsets to tabulate; the split graph
-# would have about 9.0e9 edges and the lift about 5.0e9.
+# would have about 9.0e9 edges and the lift about 5.0e9; --top on 100
+# vertices at s = 2 would store 94,109,400 sequence weights.
 OVERSIZED = [
     "anticonc moments --input {wide_support} --n 30 --k 10",
     "construct split --n 3000 --side 1,2 --r 4 --out {out}",
     "construct lift --n 100000 --k 2 --s 1 --r 2 --seed 0 --out {out}",
+    "discrepancy --input {hundred} --s 2 --top 1",
 ]
 
 
@@ -455,6 +457,7 @@ def sweep_inputs(tmp_path):
         "poly": "2\n1 : 1 2\n",
         "wide": "30\n" + "".join(f"1 : {v}\n" for v in range(1, 31)),
         "wide_support": "30\n1 : " + " ".join(str(v) for v in range(1, 31)) + "\n",
+        "hundred": "100 2\n1 2\n",
     }
     paths = {"dir": str(tmp_path), "out": str(tmp_path / "out.hg")}
     for name, text in texts.items():

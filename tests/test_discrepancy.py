@@ -4,23 +4,24 @@ studies of the quantities involved."""
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgestats import discrepancy
 from edgestats.discrepancy import heavy_disjoint_blocks, signed_discrepancy
-from edgestats.hypergraph import construct_split, from_edges, random_hypergraph
+from edgestats.hypergraph import Hypergraph, construct_split, from_edges, random_hypergraph
 from edgestats.multilinear import MultilinearPoly, edge_indicator_poly
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
-def brute_discrepancy_total(graph, s):
-    """Independent oracle: scan every r-subset for every ordered tuple."""
+def brute_weights(graph, s):
+    """Independent oracle: scan every r-subset for every ordered tuple,
+    yielding (tuple, weight) in enumeration order."""
     n, r = graph.n, graph.r
     members = graph.edge_set
-    total = 0
     for seq in itertools.permutations(range(1, n + 1), 2 * s):
         signed = 0
         for w in itertools.combinations(range(1, n + 1), r):
@@ -38,8 +39,7 @@ def brute_discrepancy_total(graph, s):
                     sign = -sign
             if ok:
                 signed += sign
-        total += abs(signed)
-    return total
+        yield seq, abs(signed)
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +73,29 @@ def test_complete_and_empty_graphs_have_zero_discrepancy():
 def test_matches_brute_force(seed):
     rng = new_generator(seed)
     n = 4 + rand_below(rng, 3)
-    r = 2 + rand_below(rng, 2)
+    r = 1 + rand_below(rng, 4)
     s = 1 + rand_below(rng, min(r, n // 2))
-    g = random_hypergraph(n, r, Fraction(1, 2), rng)
-    report = signed_discrepancy(g, s)
-    assert report.total == brute_discrepancy_total(g, s)
+    p = Fraction(rand_below(rng, 5), 4)
+    g = random_hypergraph(n, r, p, rng)
+    report = signed_discrepancy(g, s, collect_weights=True)
+    expected = list(brute_weights(g, s))
+    assert report.total == sum(w for _, w in expected)
+    assert report.max_weight == max(w for _, w in expected)
+    assert [(w.sequence, w.weight) for w in report.weights] == expected
+
+
+def test_dense_graphs_are_weighed_without_their_complement(monkeypatch):
+    g = random_hypergraph(7, 3, Fraction(7, 8), 5)
+    assert g.edge_count > comb(7, 3) // 2
+    expected = list(brute_weights(g, 2))
+
+    def refuse(*args):
+        raise AssertionError("the complement or the edge set was built")
+
+    monkeypatch.setattr(Hypergraph, "complement", refuse)
+    monkeypatch.setattr(Hypergraph, "edge_set", property(refuse))
+    report = signed_discrepancy(g, 2, collect_weights=True)
+    assert [(w.sequence, w.weight) for w in report.weights] == expected
 
 
 @given(st.integers(0, 2**30))
@@ -123,6 +141,19 @@ def test_argument_validation_and_term_cap():
         signed_discrepancy(from_edges(3, 3, []), 2)
     with pytest.raises(ValueError, match="cap"):
         signed_discrepancy(g, 2, term_cap=10)
+
+
+def test_collecting_weights_is_capped_before_enumeration(monkeypatch):
+    wide = from_edges(100, 2, [(1, 2)])
+    with pytest.raises(ValueError, match="94109400 sequence weights exceeds the cap"):
+        signed_discrepancy(wide, 2, collect_weights=True)
+    g = from_edges(6, 2, [(1, 2)])
+    monkeypatch.setattr(discrepancy, "MAX_STORED_WEIGHTS", perm(6, 4) - 1)
+    assert signed_discrepancy(g, 2).weights is None
+    with pytest.raises(ValueError, match="cap"):
+        signed_discrepancy(g, 2, collect_weights=True)
+    monkeypatch.setattr(discrepancy, "MAX_STORED_WEIGHTS", perm(6, 4))
+    assert len(signed_discrepancy(g, 2, collect_weights=True).weights) == perm(6, 4)
 
 
 # ---------------------------------------------------------------------------

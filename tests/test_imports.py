@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and the package
-re-exports the public names of its seven paper modules and nothing else."""
+"""Every module of the package uses each name it imports, every private
+top-level name is read somewhere in the package, and the package re-exports
+the public names of its seven paper modules and nothing else."""
 
 import ast
 import importlib
@@ -64,6 +65,65 @@ def test_the_checker_flags_only_unused_imports():
 )
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and constants of the given
+    modules (name -> source) that no module reads: neither as a bare name
+    nor as an attribute.  Dunder names are not private."""
+    defined: list[tuple[str, int, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [
+        f"{module} line {line}: {name}"
+        for module, line, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_the_checker_flags_only_unread_private_names():
+    sources = {
+        "a": (
+            "_CAP = 3\n"
+            "_unused, _PAIR = 1, 2\n"
+            "_written: int = 0\n"
+            "_written = 5\n"
+            "__all__ = ['public']\n"
+            "def _helper():\n"
+            "    return _CAP\n"
+            "class _Gone:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _helper()\n"
+        ),
+        "b": "from . import a\nfrom .a import _Gone\nVALUE = a._PAIR\n",
+    }
+    assert dead_private_names(sources) == [
+        "a line 2: _unused",
+        "a line 3: _written",
+        "a line 4: _written",
+        "a line 8: _Gone",
+    ]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
 
 
 PAPER_MODULES = (

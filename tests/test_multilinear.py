@@ -15,6 +15,7 @@ from edgestats.hypergraph import from_edges
 from edgestats.multilinear import (
     MAX_ACTIVE_VARS,
     MultilinearPoly,
+    _cover_sums,
     _moebius,
     _subset_transform,
     _walsh,
@@ -270,7 +271,7 @@ def test_mlp_errors_carry_line_numbers():
 
 
 # ---------------------------------------------------------------------------
-# the subset-lattice kernel
+# the subset-lattice kernels
 
 
 def _subsets(coords):
@@ -305,3 +306,25 @@ def test_subset_transform_matches_each_butterflys_definition(seed, fractions):
         assert moebius[t] == sum((-1) ** (len(t) - len(s)) * w(s) for s in inside)
         assert walsh[t] == sum((-1) ** len(set(s) & set(t)) * w(s) for s in subsets)
     assert _subset_transform(coords, zeta, _moebius) == {t: w(t) for t in subsets}
+
+
+@given(st.integers(0, 2**30), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_cover_sums_match_their_definition(seed, fractions):
+    """Each size-subset of some support gathers the total weight of the
+    supports containing it; size 0 gathers every weight under ()."""
+    rng = random.Random(seed)
+    terms = [
+        (
+            tuple(sorted(rng.sample(range(1, 9), rng.randint(0, 5)))),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if fractions else rng.randint(-9, 9),
+        )
+        for _ in range(rng.randint(0, 8))
+    ]
+    for size in range(6):
+        keys = {a for support, _ in terms for a in itertools.combinations(support, size)}
+        expected = {a: sum(w for support, w in terms if set(a) <= set(support)) for a in keys}
+        assert _cover_sums(terms, size) == expected
+    assert _cover_sums([((), 3), ((1, 2), 4)], 0) == {(): 7}
+    assert _cover_sums([((), 3)], 1) == {}
+    assert _cover_sums([], 0) == {}
