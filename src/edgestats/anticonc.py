@@ -101,21 +101,14 @@ def hypergeom_binom_tv(n: int, k: int, t: int) -> TVReport:
 def max_prob_binomial_one(p: Fraction) -> Fraction:
     """max over trial counts m >= 1 of Pr[Binomial(m, p) = 1], exactly.
 
-    The point mass m*p*(1-p)^(m-1) rises while m <= (1-p)/p and falls
-    after, so a forward scan that stops at the first strict decrease
-    finds the maximum.
+    The point mass m*p*(1-p)^(m-1) rises while m <= 1/p - 1 and falls
+    after, so the maximum is at m = floor(1/p).
     """
     p = Fraction(p)
     if not 0 < p <= 1:
         raise ValueError(f"need p in (0, 1], got {p}")
-    best = p  # m = 1
-    m = 2
-    while True:
-        cur = m * p * (1 - p) ** (m - 1)
-        if cur < best:
-            return best
-        best = cur
-        m += 1
+    m = p.denominator // p.numerator
+    return m * p * (1 - p) ** (m - 1)
 
 
 @dataclass(frozen=True)
@@ -180,6 +173,8 @@ def poisson_interval_check(
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
+    if gamma is not None and not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     s = len(poly.active_variables)
     dist = exhaustive_distribution(poly, p)
     prob = dist.interval_probability(level, radius)

@@ -33,10 +33,10 @@ from .anticonc import (
 )
 from .coupling import check_sign_expansion, sample_coupling
 from .cover import greedy_cover, verify_cover
-from .discrepancy import signed_discrepancy
+from .discrepancy import DEFAULT_TERM_CAP, signed_discrepancy
 from .hypergraph import construct_lift, construct_split, format_hg, parse_hg
 from .multilinear import _subset_transform, _zeta, parse_mlp
-from .profiles import estimate_point, exact_profile
+from .profiles import DEFAULT_PROFILE_CAP, estimate_point, exact_profile
 from .serialize import parse_rational
 
 __all__ = ["main", "build_parser"]
@@ -49,6 +49,12 @@ def _digest(path: Path) -> str:
 def _load(path_str: str, parse):
     path = Path(path_str)
     return parse(path.read_text()), _digest(path)
+
+
+def _write_hg(graph, out: str) -> dict:
+    path = Path(out)
+    path.write_text(format_hg(graph))
+    return {"out": out, "out_digest": _digest(path)}
 
 
 def _parse_vertex_list(text: str, label: str) -> tuple[int, ...]:
@@ -72,66 +78,42 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _report(command: str, params: dict, results: dict, violations: list[str], **extra) -> dict:
-    report = {
-        "command": command,
-        "params": params,
-        "results": results,
-        "violations": violations,
-    }
-    report.update(extra)
-    return report
+def _report(params: dict, results: dict, violations: list[str], **extra) -> dict:
+    return {"params": params, "results": results, "violations": violations, **extra}
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns its report; main emits it.
+# Command handlers.  Each gets the parsed --input, if its command has one,
+# and returns its report; main names the report, records the input and
+# emits it.
 
 
-def _cmd_profile(args) -> dict:
-    graph, digest = _load(args.input, parse_hg)
+def _cmd_profile(args, graph) -> dict:
     profile = exact_profile(graph, args.k, max_subsets=args.max_subsets)
-    return _report(
-        "profile",
-        {"input": args.input, "k": args.k, "max_subsets": args.max_subsets},
-        profile.to_json_dict(),
-        [],
-        input_digest=digest,
-    )
+    return _report({"k": args.k, "max_subsets": args.max_subsets}, profile.to_json_dict(), [])
 
 
-def _cmd_estimate(args) -> dict:
-    graph, digest = _load(args.input, parse_hg)
+def _cmd_estimate(args, graph) -> dict:
     est = estimate_point(graph, args.k, args.level, args.samples, args.seed)
     return _report(
-        "estimate",
-        {
-            "input": args.input,
-            "k": args.k,
-            "level": args.level,
-            "samples": args.samples,
-        },
+        {"k": args.k, "level": args.level, "samples": args.samples},
         est.to_json_dict(),
         [],
-        input_digest=digest,
         seed=args.seed,
     )
 
 
 def _cmd_construct_lift(args) -> dict:
     built = construct_lift(args.n, args.k, args.s, args.r, args.seed)
-    out = Path(args.out)
-    out.write_text(format_hg(built.graph))
     results = {
         "n": built.graph.n,
         "r": built.graph.r,
         "edge_count": built.graph.edge_count,
         "base_edge_count": built.base.edge_count,
         "level": built.level,
-        "out": args.out,
-        "out_digest": _digest(out),
+        **_write_hg(built.graph, args.out),
     }
     return _report(
-        "construct lift",
         {"n": args.n, "k": args.k, "s": args.s, "r": args.r, "out": args.out},
         results,
         [],
@@ -142,28 +124,21 @@ def _cmd_construct_lift(args) -> dict:
 def _cmd_construct_split(args) -> dict:
     side = _parse_vertex_list(args.side, "--side")
     graph = construct_split(args.n, side, args.r)
-    out = Path(args.out)
-    out.write_text(format_hg(graph))
     results = {
         "n": graph.n,
         "r": graph.r,
         "edge_count": graph.edge_count,
         "side_size": len(set(side)),
-        "out": args.out,
-        "out_digest": _digest(out),
+        **_write_hg(graph, args.out),
     }
     return _report(
-        "construct split",
-        {"n": args.n, "side": sorted(set(side)), "r": args.r, "out": args.out},
-        results,
-        [],
+        {"n": args.n, "side": sorted(set(side)), "r": args.r, "out": args.out}, results, []
     )
 
 
-def _cmd_coupling_check(args) -> dict:
-    poly, digest = _load(args.input, parse_mlp)
-    params: dict = {"input": args.input}
-    extra: dict = {"input_digest": digest}
+def _cmd_coupling_check(args, poly) -> dict:
+    params: dict = {}
+    extra: dict = {}
     if args.pairs is not None:
         if args.sample_k is not None or args.seed is not None:
             raise ValueError("--pairs excludes --sample-k/--seed")
@@ -185,23 +160,19 @@ def _cmd_coupling_check(args) -> dict:
         violations.append(
             f"sign expansion mismatch: max |discrepancy| = {rep.max_abs_discrepancy}"
         )
-    return _report("coupling-check", params, rep.to_json_dict(), violations, **extra)
+    return _report(params, rep.to_json_dict(), violations, **extra)
 
 
-def _cmd_discrepancy(args) -> dict:
+def _cmd_discrepancy(args, graph) -> dict:
     if args.top < 0:
         raise ValueError(f"--top must be nonnegative, got {args.top}")
-    graph, digest = _load(args.input, parse_hg)
     rep = signed_discrepancy(
         graph, args.s, term_cap=args.term_cap, collect_weights=args.top > 0
     )
-    results = rep.to_json_dict(top=args.top) if args.top > 0 else rep.to_json_dict()
     return _report(
-        "discrepancy",
-        {"input": args.input, "s": args.s, "term_cap": args.term_cap, "top": args.top},
-        results,
+        {"s": args.s, "term_cap": args.term_cap, "top": args.top},
+        rep.to_json_dict(top=args.top),
         [],
-        input_digest=digest,
     )
 
 
@@ -210,43 +181,27 @@ def _cmd_anticonc_ehm(args) -> dict:
     violations = []
     if rep.violated:
         violations.append(f"tv {rep.tv} exceeds bound {rep.bound}")
-    return _report(
-        "anticonc ehm",
-        {"n": args.n, "k": args.k, "t": args.t},
-        rep.to_json_dict(),
-        violations,
-    )
+    return _report({"n": args.n, "k": args.k, "t": args.t}, rep.to_json_dict(), violations)
 
 
-def _cmd_anticonc_poisson(args) -> dict:
-    poly, digest = _load(args.input, parse_mlp)
+def _cmd_anticonc_poisson(args, poly) -> dict:
     p = parse_rational(args.p)
     level = parse_rational(args.level)
     radius = parse_rational(args.radius)
-    gamma = None if args.gamma is None else float(args.gamma)
-    rep = poisson_interval_check(poly, p, level, radius, gamma=gamma)
+    rep = poisson_interval_check(poly, p, level, radius, gamma=args.gamma)
     violations = []
     if rep.precondition_met and not rep.bound_satisfied:
         violations.append(
             f"interval mass {rep.probability} exceeds binomial bound {rep.binomial_bound}"
         )
     return _report(
-        "anticonc poisson",
-        {
-            "input": args.input,
-            "p": args.p,
-            "level": args.level,
-            "radius": args.radius,
-            "gamma": gamma,
-        },
+        {"p": args.p, "level": args.level, "radius": args.radius, "gamma": args.gamma},
         rep.to_json_dict(),
         violations,
-        input_digest=digest,
     )
 
 
-def _cmd_anticonc_junta_tv(args) -> dict:
-    poly, digest = _load(args.input, parse_mlp)
+def _cmd_anticonc_junta_tv(args, poly) -> dict:
     coords = _junta_coords(poly.active_variables, args.n, args.k)
     # At the 0/1 point of T, poly is the sum of the terms with support inside T.
     table = _subset_transform(coords, dict(poly.terms), _zeta)
@@ -255,43 +210,24 @@ def _cmd_anticonc_junta_tv(args) -> dict:
     if rep.violated:
         violations.append(f"tv {rep.tv} exceeds bound {rep.bound}")
     return _report(
-        "anticonc junta-tv",
-        {"input": args.input, "n": args.n, "k": args.k, "coords": list(coords)},
-        rep.to_json_dict(),
-        violations,
-        input_digest=digest,
+        {"n": args.n, "k": args.k, "coords": list(coords)}, rep.to_json_dict(), violations
     )
 
 
-def _cmd_anticonc_moments(args) -> dict:
-    poly, digest = _load(args.input, parse_mlp)
+def _cmd_anticonc_moments(args, poly) -> dict:
     moments = slice_moments(poly, args.n, args.k)
-    return _report(
-        "anticonc moments",
-        {"input": args.input, "n": args.n, "k": args.k},
-        moments.to_json_dict(),
-        [],
-        input_digest=digest,
-    )
+    return _report({"n": args.n, "k": args.k}, moments.to_json_dict(), [])
 
 
-def _cmd_cover_run(args) -> dict:
-    graph, digest = _load(args.input, parse_hg)
+def _cmd_cover_run(args, graph) -> dict:
     cert = greedy_cover(graph, args.m, step_cap=args.step_cap)
     violations = []
     if not cert.terminated:
         violations.append(f"step cap {cert.step_cap} reached before termination")
-    return _report(
-        "cover run",
-        {"input": args.input, "m": args.m, "step_cap": cert.step_cap},
-        cert.to_json_dict(),
-        violations,
-        input_digest=digest,
-    )
+    return _report({"m": args.m, "step_cap": cert.step_cap}, cert.to_json_dict(), violations)
 
 
-def _cmd_cover_verify(args) -> dict:
-    graph, digest = _load(args.input, parse_hg)
+def _cmd_cover_verify(args, graph) -> dict:
     pivot = _parse_vertex_list(args.pivot, "--pivot")
     ver = verify_cover(graph, pivot, args.m)
     violations = []
@@ -299,13 +235,7 @@ def _cmd_cover_verify(args) -> dict:
         violations.append(f"pivot misses edge {list(ver.failing_edge)}")
     elif not ver.ok:
         violations.append(f"cover fails at subset {list(ver.failing_subset)}")
-    return _report(
-        "cover verify",
-        {"input": args.input, "pivot": sorted(set(pivot)), "m": args.m},
-        ver.to_json_dict(),
-        violations,
-        input_digest=digest,
-    )
+    return _report({"pivot": sorted(set(pivot)), "m": args.m}, ver.to_json_dict(), violations)
 
 
 def _cmd_suite_acceptance(args) -> dict:
@@ -318,7 +248,6 @@ def _cmd_suite_acceptance(args) -> dict:
     results = run_all(only, report=lambda line: print(line, file=sys.stderr))
     failures = [r for r in results if not r.ok]
     return _report(
-        "suite acceptance",
         {"only": sorted(set(only)) if only is not None else sorted(CRITERIA)},
         {"criteria": [r.to_json_dict() for r in results]},
         [f"criterion {r.index} failed: {r.name}" for r in failures],
@@ -335,115 +264,121 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact statistics of induced edge counts on random vertex subsets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    groups = {"": sub}
+    hg = (parse_hg, ".hg hypergraph file")
+    mlp = (parse_mlp, ".mlp polynomial file")
 
-    p = sub.add_parser("profile", help="exhaustive induced-edge-count profile")
-    p.add_argument("--input", required=True, help=".hg hypergraph file")
+    def group(name, dest, help):
+        groups[name] = sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+
+    def leaf(path, func, help, fmt=(None, None)):
+        """Add the leaf command at ``path``; main names its report by the
+        path and, when ``fmt`` gives a parser, reads --input with it."""
+        parent, _, name = path.rpartition(" ")
+        p = groups[parent].add_parser(name, help=help)
+        parse, input_help = fmt
+        p.set_defaults(func=func, report_name=path, parse=parse)
+        if parse is not None:
+            p.add_argument("--input", required=True, help=input_help)
+        return p
+
+    p = leaf("profile", _cmd_profile, "exhaustive induced-edge-count profile", hg)
     p.add_argument("-k", "--k", type=int, required=True, help="subset size")
-    p.add_argument("--max-subsets", type=int, default=10**8)
-    p.set_defaults(func=_cmd_profile)
+    p.add_argument("--max-subsets", type=int, default=DEFAULT_PROFILE_CAP)
 
-    p = sub.add_parser("estimate", help="Monte Carlo point-probability estimate")
-    p.add_argument("--input", required=True, help=".hg hypergraph file")
+    p = leaf("estimate", _cmd_estimate, "Monte Carlo point-probability estimate", hg)
     p.add_argument("-k", "--k", type=int, required=True)
     p.add_argument("--level", type=int, required=True, help="target induced edge count")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_estimate)
 
-    c = sub.add_parser("construct", help="write a named construction to a .hg file")
-    csub = c.add_subparsers(dest="construction", required=True)
-
-    p = csub.add_parser("lift", help="random sparse base lifted to supersets")
+    group("construct", "construction", "write a named construction to a .hg file")
+    p = leaf("construct lift", _cmd_construct_lift, "random sparse base lifted to supersets")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output .hg path")
-    p.set_defaults(func=_cmd_construct_lift)
 
-    p = csub.add_parser("split", help="edges meeting a vertex side exactly once")
+    p = leaf("construct split", _cmd_construct_split, "edges meeting a vertex side exactly once")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--side", required=True, help="side vertices, e.g. '1 2 3'")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", required=True, help="output .hg path")
-    p.set_defaults(func=_cmd_construct_split)
 
-    p = sub.add_parser(
-        "coupling-check", help="verify the sign-expansion identity exhaustively"
+    p = leaf(
+        "coupling-check",
+        _cmd_coupling_check,
+        "verify the sign-expansion identity exhaustively",
+        mlp,
     )
-    p.add_argument("--input", required=True, help=".mlp polynomial file")
     p.add_argument("--pairs", help="explicit pairing, e.g. '2,1 4,3'")
     p.add_argument("--sample-k", type=int, help="sample this many disjoint pairs")
     p.add_argument("--seed", type=int, help="seed for sampling mode")
-    p.set_defaults(func=_cmd_coupling_check)
 
-    p = sub.add_parser("discrepancy", help="exact signed discrepancy total")
-    p.add_argument("--input", required=True, help=".hg hypergraph file")
+    p = leaf("discrepancy", _cmd_discrepancy, "exact signed discrepancy total", hg)
     p.add_argument("-s", "--s", type=int, required=True, help="pair count")
-    p.add_argument("--term-cap", type=int, default=10**9)
+    p.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP)
     p.add_argument("--top", type=int, default=0, help="collect this many heaviest sequences")
-    p.set_defaults(func=_cmd_discrepancy)
 
-    a = sub.add_parser("anticonc", help="anticoncentration checks")
-    asub = a.add_subparsers(dest="check", required=True)
-
-    p = asub.add_parser("ehm", help="hypergeometric vs binomial TV bound")
+    group("anticonc", "check", "anticoncentration checks")
+    p = leaf("anticonc ehm", _cmd_anticonc_ehm, "hypergeometric vs binomial TV bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_anticonc_ehm)
 
-    p = asub.add_parser("poisson", help="interval mass vs binomial point-mass bound")
-    p.add_argument("--input", required=True, help=".mlp polynomial file")
+    p = leaf(
+        "anticonc poisson",
+        _cmd_anticonc_poisson,
+        "interval mass vs binomial point-mass bound",
+        mlp,
+    )
     p.add_argument("--p", required=True, help="Bernoulli rate, e.g. 1/50")
     p.add_argument("--level", required=True, help="interval centre")
     p.add_argument("--radius", required=True, help="interval half-width")
     p.add_argument("--gamma", type=float, help="also compare against 1/e + gamma")
-    p.set_defaults(func=_cmd_anticonc_poisson)
 
-    p = asub.add_parser("junta-tv", help="slice vs product pushforward TV")
-    p.add_argument("--input", required=True, help=".mlp polynomial file (the junta)")
+    p = leaf(
+        "anticonc junta-tv",
+        _cmd_anticonc_junta_tv,
+        "slice vs product pushforward TV",
+        (parse_mlp, ".mlp polynomial file (the junta)"),
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_anticonc_junta_tv)
 
-    p = asub.add_parser("moments", help="exact slice mean and variance")
-    p.add_argument("--input", required=True, help=".mlp polynomial file")
+    p = leaf("anticonc moments", _cmd_anticonc_moments, "exact slice mean and variance", mlp)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_anticonc_moments)
 
-    c = sub.add_parser("cover", help="greedy cover certificates")
-    csub = c.add_subparsers(dest="mode", required=True)
-
-    p = csub.add_parser("run", help="build a cover certificate greedily")
-    p.add_argument("--input", required=True, help=".hg hypergraph file")
+    group("cover", "mode", "greedy cover certificates")
+    p = leaf("cover run", _cmd_cover_run, "build a cover certificate greedily", hg)
     p.add_argument("-m", "--m", type=int, required=True, help="target matching size")
     p.add_argument("--step-cap", type=int, default=None)
-    p.set_defaults(func=_cmd_cover_run)
 
-    p = csub.add_parser("verify", help="verify a claimed cover pivot")
-    p.add_argument("--input", required=True, help=".hg hypergraph file")
+    p = leaf("cover verify", _cmd_cover_verify, "verify a claimed cover pivot", hg)
     p.add_argument("--pivot", required=True, help="pivot vertices, e.g. '1 2 3'")
     p.add_argument("-m", "--m", type=int, required=True)
-    p.set_defaults(func=_cmd_cover_verify)
 
-    s = sub.add_parser("suite", help="run batteries")
-    ssub = s.add_subparsers(dest="battery", required=True)
-
-    p = ssub.add_parser("acceptance", help="run the acceptance criteria")
+    group("suite", "battery", "run batteries")
+    p = leaf("suite acceptance", _cmd_suite_acceptance, "run the acceptance criteria")
     p.add_argument("--only", help="comma-separated criterion numbers")
-    p.set_defaults(func=_cmd_suite_acceptance)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        if args.parse is None:
+            report = args.func(args)
+        else:
+            data, digest = _load(args.input, args.parse)
+            report = args.func(args, data)
+            report["params"]["input"] = args.input
+            report["input_digest"] = digest
+        report["command"] = args.report_name
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

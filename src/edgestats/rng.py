@@ -66,12 +66,12 @@ def sample_ordered(rng: random.Random, n: int, k: int) -> list[int]:
 
 def bernoulli(rng: random.Random, p: Fraction) -> bool:
     """Exact Bernoulli(p) draw for rational p in [0, 1]."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
+    if not isinstance(p, Fraction):
+        p = Fraction(p)
+    num, den = p.numerator, p.denominator
+    if not 0 <= num <= den:
         raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {p}")
-    if p == 0:
-        return False
-    return rand_below(rng, p.denominator) < p.numerator
+    return num > 0 and rand_below(rng, den) < num
 
 
 def rademacher(rng: random.Random) -> int:

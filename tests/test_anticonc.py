@@ -88,6 +88,25 @@ def test_max_prob_binomial_one_dominates_every_trial_count():
             assert m * p * (1 - p) ** (m - 1) <= best
 
 
+def _scanned_max_prob_binomial_one(p):
+    """The earlier forward scan, kept as the oracle of the closed form."""
+    best = p  # m = 1
+    m = 2
+    while True:
+        cur = m * p * (1 - p) ** (m - 1)
+        if cur < best:
+            return best
+        best = cur
+        m += 1
+
+
+def test_max_prob_binomial_one_matches_the_scan():
+    for b in range(1, 61):
+        for a in range(1, b + 1):
+            p = Fraction(a, b)
+            assert max_prob_binomial_one(p) == _scanned_max_prob_binomial_one(p), p
+
+
 # ---------------------------------------------------------------------------
 # interval checks
 
@@ -145,6 +164,11 @@ def test_poisson_rejects_bad_polynomials():
         poisson_interval_check(
             MultilinearPoly.from_terms(1, {(1,): 1}), Fraction(1, 2), 1, -1
         )
+    for gamma in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            poisson_interval_check(
+                MultilinearPoly.from_terms(1, {(1,): 1}), Fraction(1, 2), 1, 0, gamma=gamma
+            )
 
 
 @given(st.integers(0, 2**30))

@@ -1,8 +1,11 @@
 """End-to-end command-line behaviour: exit codes, JSON report shape,
 byte-for-byte determinism, and file round trips."""
 
+import argparse
+import hashlib
 import itertools
 import json
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -467,66 +470,73 @@ def sweep_inputs(tmp_path):
     return paths
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # zeros
-        "profile --input {c5} --k 0",
-        "profile --input {c5} --k 2 --max-subsets 0",
-        "estimate --input {c5} --k 0 --level 0 --samples 0 --seed 0",
-        "discrepancy --input {c5} --s 0",
-        "discrepancy --input {c5} --s 1 --term-cap 0",
-        "cover run --input {c5} --m 0",
-        "cover run --input {c5} --m 2 --step-cap 0",
-        "cover verify --input {c5} --pivot 0 --m 0",
-        "anticonc ehm --n 0 --k 0 --t 0",
-        "anticonc moments --input {poly} --n 0 --k 0",
-        "anticonc junta-tv --input {poly} --n 0 --k 0",
-        "anticonc poisson --input {poly} --p 0 --level 0 --radius 0",
-        "coupling-check --input {poly} --sample-k 0 --seed 0",
-        "construct split --n 0 --side 1 --r 1 --out {out}",
-        "construct lift --n 0 --k 0 --s 0 --r 0 --seed 0 --out {out}",
-        "suite acceptance --only 0",
-        # negatives
-        "profile --input {c5} --k -1",
-        "estimate --input {c5} --k 2 --level -1 --samples -5 --seed -1",
-        "discrepancy --input {c5} --s -1",
-        "cover run --input {c5} --m -1",
-        "cover run --input {c5} --m 2 --step-cap -1",
-        "cover verify --input {c5} --pivot -1 --m 1",
-        "anticonc ehm --n -3 --k -1 --t -1",
-        "anticonc junta-tv --input {poly} --n 2 --k -1",
-        "coupling-check --input {poly} --sample-k -1 --seed 0",
-        "construct lift --n -1 --k -1 --s -1 --r -1 --seed -1 --out {out}",
-        # the empty graph on no vertices
-        "profile --input {empty} --k 0",
-        "estimate --input {empty} --k 0 --level 0 --samples 3 --seed 0",
-        "discrepancy --input {empty} --s 1",
-        "cover run --input {empty} --m 1",
-        # uniformity above the vertex count
-        "profile --input {r_above_n} --k 2",
-        "discrepancy --input {r_above_n} --s 1",
-        "cover run --input {r_above_n} --m 1",
-        "construct split --n 2 --side 1 --r 3 --out {out}",
-        # an unwritable --out: the path is a directory
-        "construct split --n 4 --side 1 --r 2 --out {dir}",
-        # a search deeper than the recursion limit
-        "cover run --input {star} --m 2",
-        # a pivot that misses an edge
-        "cover verify --input {c5} --pivot 1,2 --m 1",
-        # a junta past the 2^14 arity cap, refused before its table is built
-        "anticonc junta-tv --input {wide} --n 60 --k 2",
-        # work past a cap, refused before it starts
-        *OVERSIZED,
-    ],
-)
+EDGE_CASES = [
+    # zeros
+    "profile --input {c5} --k 0",
+    "profile --input {c5} --k 2 --max-subsets 0",
+    "estimate --input {c5} --k 0 --level 0 --samples 0 --seed 0",
+    "discrepancy --input {c5} --s 0",
+    "discrepancy --input {c5} --s 1 --term-cap 0",
+    "cover run --input {c5} --m 0",
+    "cover run --input {c5} --m 2 --step-cap 0",
+    "cover verify --input {c5} --pivot 0 --m 0",
+    "anticonc ehm --n 0 --k 0 --t 0",
+    "anticonc moments --input {poly} --n 0 --k 0",
+    "anticonc junta-tv --input {poly} --n 0 --k 0",
+    "anticonc poisson --input {poly} --p 0 --level 0 --radius 0",
+    "coupling-check --input {poly} --sample-k 0 --seed 0",
+    "construct split --n 0 --side 1 --r 1 --out {out}",
+    "construct lift --n 0 --k 0 --s 0 --r 0 --seed 0 --out {out}",
+    "suite acceptance --only 0",
+    # negatives
+    "profile --input {c5} --k -1",
+    "estimate --input {c5} --k 2 --level -1 --samples -5 --seed -1",
+    "discrepancy --input {c5} --s -1",
+    "cover run --input {c5} --m -1",
+    "cover run --input {c5} --m 2 --step-cap -1",
+    "cover verify --input {c5} --pivot -1 --m 1",
+    "anticonc ehm --n -3 --k -1 --t -1",
+    "anticonc junta-tv --input {poly} --n 2 --k -1",
+    "coupling-check --input {poly} --sample-k -1 --seed 0",
+    "construct lift --n -1 --k -1 --s -1 --r -1 --seed -1 --out {out}",
+    # the empty graph on no vertices
+    "profile --input {empty} --k 0",
+    "estimate --input {empty} --k 0 --level 0 --samples 3 --seed 0",
+    "discrepancy --input {empty} --s 1",
+    "cover run --input {empty} --m 1",
+    # uniformity above the vertex count
+    "profile --input {r_above_n} --k 2",
+    "discrepancy --input {r_above_n} --s 1",
+    "cover run --input {r_above_n} --m 1",
+    "construct split --n 2 --side 1 --r 3 --out {out}",
+    # an unwritable --out: the path is a directory
+    "construct split --n 4 --side 1 --r 2 --out {dir}",
+    # a search deeper than the recursion limit
+    "cover run --input {star} --m 2",
+    # a pivot that misses an edge
+    "cover verify --input {c5} --pivot 1,2 --m 1",
+    # a junta past the 2^14 arity cap, refused before its table is built
+    "anticonc junta-tv --input {wide} --n 60 --k 2",
+    # a gamma that JSON cannot carry
+    "anticonc poisson --input {poly} --p 1/2 --level 1 --radius 0 --gamma nan",
+    "anticonc poisson --input {poly} --p 1/2 --level 1 --radius 0 --gamma inf",
+    # work past a cap, refused before it starts
+    *OVERSIZED,
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", EDGE_CASES)
 def test_every_edge_case_keeps_the_exit_code_contract(argv, sweep_inputs, capsys):
     code, out, _ = run_cli([word.format(**sweep_inputs) for word in argv.split()], capsys)
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
     else:
-        json.loads(out)
+        json.loads(out, parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("argv", OVERSIZED)
@@ -572,3 +582,58 @@ def test_cover_verify_names_the_missed_edge(c5_path, capsys):
     report = json.loads(out)
     assert report["violations"] == ["pivot misses edge [3, 4]"]
     assert report["results"]["failing_edge"] == [3, 4]
+
+
+# ---------------------------------------------------------------------------
+# Recorded reports: one invocation per leaf command (two for coupling-check's
+# modes), pinned to its exit code and the sha256 of its stdout.  They run in
+# the directory of their inputs with relative names, so the echoed paths are
+# the same on every machine.
+
+REPORT_INPUTS = {
+    "c5.hg": "5 2\n1 2\n2 3\n3 4\n4 5\n1 5\n",
+    "poly.mlp": "4\n1 : 1 2\n1 : 3 4\n",
+}
+
+RECORDED_REPORTS = {
+    "profile --input c5.hg --k 3": (0, "a577551f62be3f46baba8a42318ecd6082f7282fe8041c4a5d208b99b5b52c41"),
+    "estimate --input c5.hg --k 3 --level 2 --samples 200 --seed 7": (0, "51171764a2c74c4c1f179b64ca2021a715842afe0eec934ecd5e47f4ca749ec0"),
+    "construct lift --n 8 --k 4 --s 2 --r 3 --seed 1 --out lift.hg": (0, "b012e5a1fe9f55096e569c6eaea9804940863043d463efd2647ed16c7511f950"),
+    "construct split --n 6 --side 1,2 --r 2 --out split.hg": (0, "d6b194698b52a2a1d05f3c6df4f9367f77df64d5bf59fbd23504b9195a5e736f"),
+    "coupling-check --input poly.mlp --pairs '2,1 4,3'": (0, "c8bd8ab8c1f496a00f3e23e46b2a89bac334dbfc9763e3eefe7296c62dac4c7a"),
+    "coupling-check --input poly.mlp --sample-k 2 --seed 3": (0, "e50ad610753464f8ac15312a826571dec7320ef465ee0839cc795ee8993f4c46"),
+    "discrepancy --input c5.hg --s 2 --top 3": (0, "8a0ac31d4580942cde3865bbd2219ed6c5600b9bd264724527f1e541d39e1f2e"),
+    "anticonc ehm --n 20 --k 5 --t 3": (0, "4ed4ba52a5f0ce0bd481926e287ceea4d73f8e9de88e0d5d1801723d34b3d432"),
+    "anticonc poisson --input poly.mlp --p 1/3 --level 1 --radius 0 --gamma 0.05": (0, "fbcae22f274f3f56179f393b2f4e83e8ff545c455b965230b5c9ce3247492949"),
+    "anticonc junta-tv --input poly.mlp --n 8 --k 4": (0, "9b7ab4dca41d6733e69ac4fbea4e1c6a136ed1a07ed6811b439e8c186e92fb36"),
+    "anticonc moments --input poly.mlp --n 6 --k 3": (0, "422ca359bba440a8fe248ac19327daf04457661f1bd740777dabbbc8029017c8"),
+    "cover run --input c5.hg --m 3": (0, "6b847ce7af983afa958e55520b9f54de01656262012d9bd680e6b8a9be885bff"),
+    "cover verify --input c5.hg --pivot 1,2 --m 1": (1, "0f6cb214c25b1ae1622613f2d07ef1ec6880427a84507488ba2e8db4b894c4de"),
+    "suite acceptance --only 4": (0, "9ffb754ffd177089004d429cbd5c9d77809f4265bb559019c49474e6d51350ee"),
+}
+
+
+@pytest.mark.parametrize("argv", RECORDED_REPORTS)
+def test_every_command_prints_its_recorded_report(argv, tmp_path, monkeypatch, capsys):
+    for name, text in REPORT_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(shlex.split(argv), capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == RECORDED_REPORTS[argv]
+
+
+def _leaf_commands(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaf_commands(child, (*path, name))
+            return
+    yield " ".join(path)
+
+
+def test_every_command_has_a_contract_case_and_a_recorded_report():
+    leaves = set(_leaf_commands(cli.build_parser()))
+    assert len(leaves) == 13
+    for cases in (EDGE_CASES, RECORDED_REPORTS):
+        covered = {leaf for leaf in leaves for case in cases if case.startswith(leaf + " ")}
+        assert leaves - covered == set()

@@ -125,6 +125,34 @@ def test_bernoulli_degenerate_rates():
         bernoulli(rng, Fraction(3, 2))
 
 
+def _fraction_bernoulli(rng, p):
+    """The earlier body of bernoulli, kept as the oracle of its draws."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {p}")
+    if p == 0:
+        return False
+    return rand_below(rng, p.denominator) < p.numerator
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7), 0, 1, "0", "1", "1/3", "2/7"],
+    ids=repr,
+)
+def test_bernoulli_draws_as_the_fraction_comparisons_did(p):
+    rng, oracle = new_generator(11), new_generator(11)
+    assert [bernoulli(rng, p) for _ in range(400)] == [_fraction_bernoulli(oracle, p) for _ in range(400)]
+    assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("p", [Fraction(3, 2), Fraction(-1, 3), -1, 2, "4/3"])
+def test_bernoulli_refuses_a_rate_outside_the_unit_interval_as_before(p):
+    for draw in (bernoulli, _fraction_bernoulli):
+        with pytest.raises(ValueError, match="must lie in"):
+            draw(new_generator(0), p)
+
+
 def test_bernoulli_tracks_its_rate():
     rng = new_generator(3)
     hits = sum(bernoulli(rng, Fraction(1, 4)) for _ in range(8000))
