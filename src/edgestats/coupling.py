@@ -6,8 +6,8 @@ A coupling on [1..n] is a sequence of k disjoint ordered vertex pairs
 distributed as a uniform k-subset of the 2k paired vertices, and any
 polynomial of that vector expands exactly as a signed multilinear
 polynomial in the k signs.  This module computes those sign-expansion
-coefficients, checks the expansion identity exhaustively, and carries the
-threshold and dense-core bookkeeping built on top of the coefficients.
+coefficients and their size bound, and checks the expansion identity
+exhaustively.
 
 Expansion semantics: a support W of the input polynomial contributes only
 when W lies inside the paired vertices and contains no pair entirely
@@ -37,10 +37,6 @@ __all__ = [
     "SignExpansionReport",
     "check_sign_expansion",
     "coefficient_bound",
-    "LOThresholds",
-    "lo_thresholds",
-    "top_extension_count",
-    "minimal_dense_core",
 ]
 
 Pair = tuple[int, int]
@@ -232,65 +228,3 @@ def coefficient_bound(q: Fraction | int, d: int, n: int, index_size: int) -> Fra
     if index_size > d:
         return Fraction(0)
     return Fraction(q) * 2**index_size * Fraction(n) ** (d - index_size)
-
-
-class LOThresholds(NamedTuple):
-    """Level thresholds b_0..b_d and the aggregate a(f, t)."""
-
-    bounds: tuple[Fraction, ...]
-    aggregate: Fraction
-
-
-def lo_thresholds(q: Fraction | int, d: int, n: int, f: int, t: Fraction | int) -> LOThresholds:
-    """Thresholds b_g = q * 2^g * n^(d-g) for g = 0..d and the tail
-    aggregate a(f, t) = sum_{g=f+1}^{d} t^(g-f) * b_g (empty sum is 0)."""
-    if d < 0 or not 0 <= f <= d:
-        raise ValueError(f"need 0 <= f <= d, got f={f}, d={d}")
-    q = Fraction(q)
-    t = Fraction(t)
-    bounds = tuple(q * 2**g * Fraction(n) ** (d - g) for g in range(d + 1))
-    aggregate = sum(
-        (t ** (g - f) * bounds[g] for g in range(f + 1, d + 1)), Fraction(0)
-    )
-    return LOThresholds(bounds, aggregate)
-
-
-def top_extension_count(poly: MultilinearPoly, base: Iterable[int], universe: Iterable[int]) -> int:
-    """Number of top-degree supports of ``poly`` that contain ``base`` and
-    stay inside ``universe``."""
-    b = frozenset(base)
-    uni = frozenset(universe)
-    d = poly.degree
-    return sum(
-        1
-        for support, _ in poly.terms
-        if len(support) == d and b <= frozenset(support) <= uni
-    )
-
-
-def minimal_dense_core(
-    poly: MultilinearPoly, edge: Iterable[int], m: Fraction | int, universe: Iterable[int]
-) -> tuple[int, ...]:
-    """Smallest (then lexicographically least) F inside ``edge`` whose
-    top-degree extension count within ``universe`` reaches (n/m)^(d-|F|),
-    with n the ambient variable count and d the polynomial degree.
-
-    ``edge`` must be the support of a nonzero top-degree coefficient, so
-    F = edge itself always qualifies (count >= 1 = threshold) and the
-    search cannot fail.
-    """
-    e = tuple(sorted(set(edge)))
-    d = poly.degree
-    if len(e) != d or poly.coeff(e) == 0:
-        raise ValueError(
-            f"{e} is not the support of a nonzero degree-{d} coefficient"
-        )
-    uni = frozenset(universe)
-    if not frozenset(e) <= uni:
-        raise ValueError(f"edge {e} leaves the universe")
-    ratio = Fraction(poly.n) / Fraction(m)
-    for size in range(d + 1):
-        for cand in itertools.combinations(e, size):
-            if top_extension_count(poly, cand, uni) >= ratio ** (d - size):
-                return cand
-    raise AssertionError("unreachable: the full edge always qualifies")

@@ -26,10 +26,6 @@ from typing import Iterable
 from .hypergraph import Hypergraph, _trace_groups, lex_min_maximum_matching, matching_number
 
 __all__ = [
-    "edge_residues",
-    "relevant_sets",
-    "ResidualGraph",
-    "residual",
     "CoverStep",
     "CoverCertificate",
     "default_step_cap",
@@ -41,13 +37,6 @@ __all__ = [
 Trace = tuple[int, ...]
 
 VERIFY_PIVOT_CAP = 25
-
-
-def _check_pivot(graph: Hypergraph, pivot: Iterable[int], label: str) -> frozenset[int]:
-    p = frozenset(pivot)
-    if p and (min(p) < 1 or max(p) > graph.n):
-        raise ValueError(f"{label} leaves the vertex range [1..{graph.n}]")
-    return p
 
 
 def _minimal_traces(groups: dict[Trace, set[frozenset[int]]]) -> list[Trace]:
@@ -62,81 +51,6 @@ def _minimal_traces(groups: dict[Trace, set[frozenset[int]]]) -> list[Trace]:
     ]
     out.sort(key=lambda t: (len(t), t))
     return out
-
-
-def edge_residues(graph: Hypergraph, pivot: Iterable[int], trace: Iterable[int]) -> frozenset[frozenset[int]]:
-    """Residues e - S of the edges whose exact pivot intersection is S.
-
-    Duplicates collapse (set semantics); the empty residue appears exactly
-    when S is itself an edge.
-    """
-    y = _check_pivot(graph, pivot, "pivot")
-    s = frozenset(trace)
-    if not s <= y:
-        raise ValueError(f"trace {sorted(s)} is not a subset of the pivot {sorted(y)}")
-    return frozenset(_trace_groups(graph, y).get(tuple(sorted(s)), ()))
-
-
-def relevant_sets(graph: Hypergraph, pivot: Iterable[int]) -> list[Trace]:
-    """Traces S inside the pivot with a nonempty residue family but empty
-    families at every proper subtrace, sorted by (size, lexicographic).
-
-    Only exact intersections e cap pivot can have nonempty families, so
-    those are the only candidates; a candidate is relevant exactly when
-    no proper subset is also a candidate.
-    """
-    return _minimal_traces(_trace_groups(graph, _check_pivot(graph, pivot, "pivot")))
-
-
-@dataclass(frozen=True)
-class ResidualGraph:
-    """Mixed-uniformity residual: edge residues after deleting the kept
-    pivot part and truncating, all sizes in [1..r]."""
-
-    n: int
-    r: int
-    edges: frozenset[frozenset[int]]
-
-    def by_size(self) -> dict[int, list[tuple[int, ...]]]:
-        out: dict[int, list[tuple[int, ...]]] = {}
-        for e in self.edges:
-            out.setdefault(len(e), []).append(tuple(sorted(e)))
-        for lst in out.values():
-            lst.sort()
-        return out
-
-    @property
-    def top_size(self) -> int:
-        if not self.edges:
-            raise ValueError("empty residual graph has no top uniformity class")
-        return max(len(e) for e in self.edges)
-
-    def top_class(self) -> list[tuple[int, ...]]:
-        top = self.top_size
-        return sorted(tuple(sorted(e)) for e in self.edges if len(e) == top)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "classes": {
-                str(size): [list(e) for e in edges]
-                for size, edges in sorted(self.by_size().items())
-            },
-        }
-
-
-def residual(graph: Hypergraph, pivot: Iterable[int], kept: Iterable[int]) -> ResidualGraph:
-    """Delete the vertices of pivot - kept, then replace each surviving
-    edge by its part outside ``kept`` (its trace T lies inside ``kept``, so
-    that part is e - T), dropping emptied edges and collapsing duplicates."""
-    y = _check_pivot(graph, pivot, "pivot")
-    x = frozenset(kept)
-    if not x <= y:
-        raise ValueError(f"kept set {sorted(x)} is not a subset of the pivot {sorted(y)}")
-    groups = _trace_groups(graph, y)
-    edges = frozenset(res for t, family in groups.items() if x.issuperset(t) for res in family if res)
-    return ResidualGraph(graph.n, graph.r, edges)
 
 
 @dataclass(frozen=True)
@@ -255,8 +169,10 @@ def verify_cover(graph: Hypergraph, pivot: Iterable[int], m: int) -> CoverVerifi
     size r - |T|, so the top class at X unites the residue families of the
     smallest non-full traces inside X.
     """
-    yset = _check_pivot(graph, pivot, "pivot")
+    yset = frozenset(pivot)
     y = sorted(yset)
+    if y and (y[0] < 1 or y[-1] > graph.n):
+        raise ValueError(f"pivot leaves the vertex range [1..{graph.n}]")
     if len(y) > VERIFY_PIVOT_CAP:
         raise ValueError(
             f"pivot of size {len(y)} needs 2^{len(y)} subset checks, above the cap"

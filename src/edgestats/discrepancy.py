@@ -10,12 +10,14 @@ weights over all ordered 2s-tuples.
 Expanding the product, a weight is the signed sum, over the 2^s
 transversals T of the pairs (one slot from each), of the co-degree d(T),
 the number of edges containing T, with sign (-1)^(minus slots in T).
-The co-degrees are tabulated in one pass over the edges; with the first
-s - 1 pairs fixed, the last pair weighs f(plus) - f(minus) for one
-function f of a vertex, so no edge is scanned per sequence.  The
-complement's co-degrees are C(n-s, r-s) - d(T), and a constant cancels
-over the transversals (their signs sum to 0), so a graph and its
-complement have identical weights.
+The co-degrees are tabulated in one pass over the edges, and regrouped
+once into links: for each (s-1)-set T, the map v -> d(T + {v}).  With
+the first s - 1 pairs fixed, the last pair weighs f(plus) - f(minus),
+where f(v) is the signed sum of the links of the prefix's transversals
+at v, so no edge is scanned per sequence.  The complement's co-degrees
+are C(n-s, r-s) - d(T), and a constant cancels over the transversals
+(their signs sum to 0), so a graph and its complement have identical
+weights.
 """
 
 from __future__ import annotations
@@ -24,18 +26,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
-from typing import Sequence
 
-from .coupling import sign_expansion_coefficient
-from .multilinear import MultilinearPoly, _cover_sums
+from .multilinear import _cover_sums
 from .serialize import format_rational
 
 __all__ = [
     "SequenceWeight",
     "DiscrepancyReport",
     "signed_discrepancy",
-    "HeavyBlocksReport",
-    "heavy_disjoint_blocks",
 ]
 
 DEFAULT_TERM_CAP = 10**9
@@ -123,7 +121,11 @@ def signed_discrepancy(
             f"storing {seq_count} sequence weights exceeds the cap of {MAX_STORED_WEIGHTS}"
         )
 
-    codegree = _cover_sums(((e, 1) for e in graph.edges), s)
+    # link[T][v] = d(T + {v}) for each (s - 1)-set T and each v outside it.
+    link: dict[tuple[int, ...], dict[int, int]] = {}
+    for a, d in _cover_sums(((e, 1) for e in graph.edges), s).items():
+        for i, v in enumerate(a):
+            link.setdefault(a[:i] + a[i + 1 :], {})[v] = d
     vertices = range(1, n + 1)
     bound = 2**s * n ** (r - s)
     total = 0
@@ -135,8 +137,9 @@ def signed_discrepancy(
         signed = [((), 1)]
         for minus, plus in zip(prefix[::2], prefix[1::2]):
             signed = [(t + (plus,), c) for t, c in signed] + [(t + (minus,), -c) for t, c in signed]
+        rows = [(link.get(tuple(sorted(t)), {}), c) for t, c in signed]
         rest = [v for v in vertices if v not in prefix]
-        f = {v: sum(c * codegree.get(tuple(sorted(t + (v,))), 0) for t, c in signed) for v in rest}
+        f = {v: sum(c * row.get(v, 0) for row, c in rows) for v in rest}
         for minus, plus in itertools.permutations(rest, 2):
             weight = abs(f[plus] - f[minus])
             if weight > bound:
@@ -149,60 +152,3 @@ def signed_discrepancy(
                 collected.append(SequenceWeight(prefix + (minus, plus), weight))
     weights = tuple(collected) if collected is not None else None
     return DiscrepancyReport(n, r, s, total, max_weight, seq_count, bound, weights)
-
-
-@dataclass(frozen=True)
-class HeavyBlocksReport:
-    """Sign-expansion coefficients over the consecutive disjoint blocks
-    {s(j-1)+1 .. sj} of pair indices, and which blocks clear a threshold."""
-
-    block_size: int
-    blocks: tuple[tuple[int, ...], ...]
-    coefficients: tuple[Fraction, ...]
-    threshold: Fraction
-    selected: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.selected)
-
-    @property
-    def min_selected_abs(self) -> Fraction | None:
-        if not self.selected:
-            return None
-        return min(abs(self.coefficients[j]) for j in self.selected)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "block_size": self.block_size,
-            "blocks": [list(b) for b in self.blocks],
-            "coefficients": [format_rational(c) for c in self.coefficients],
-            "threshold": format_rational(self.threshold),
-            "selected": [list(self.blocks[j]) for j in self.selected],
-            "count": self.count,
-            "min_selected_abs": None
-            if self.min_selected_abs is None
-            else format_rational(self.min_selected_abs),
-        }
-
-
-def heavy_disjoint_blocks(
-    poly: MultilinearPoly,
-    pairs: Sequence[tuple[int, int]],
-    s: int,
-    threshold: Fraction | int,
-) -> HeavyBlocksReport:
-    """Partition the pair indices 1..k into consecutive blocks of size s
-    (dropping any remainder), compute each block's sign-expansion
-    coefficient, and keep the blocks whose |coefficient| reaches the
-    threshold.  The blocks are pairwise disjoint by construction."""
-    k = len(pairs)
-    if s < 1:
-        raise ValueError(f"block size must be positive, got {s}")
-    thr = Fraction(threshold)
-    blocks = tuple(
-        tuple(range(s * (j - 1) + 1, s * j + 1)) for j in range(1, k // s + 1)
-    )
-    coeffs = tuple(sign_expansion_coefficient(poly, pairs, b) for b in blocks)
-    selected = tuple(j for j, c in enumerate(coeffs) if abs(c) >= thr)
-    return HeavyBlocksReport(s, blocks, coeffs, thr, selected)

@@ -20,7 +20,6 @@ __all__ = [
     "Hypergraph",
     "from_edges",
     "induced_edge_count",
-    "induced_subgraph",
     "matching_number",
     "lex_min_maximum_matching",
     "LiftConstruction",
@@ -202,21 +201,6 @@ def induced_edge_count(graph: Hypergraph, subset: Iterable[int]) -> int:
         bad = [v for v in u if not 1 <= v <= graph.n]
         raise ValueError(f"subset contains vertices outside [1..{graph.n}]: {bad}")
     return _edge_counter(graph, len(u))(u)
-
-
-def induced_subgraph(graph: Hypergraph, subset: Iterable[int], *, relabel: bool = True) -> Hypergraph:
-    """Subgraph induced on ``subset``; vertices relabelled to [1..|subset|]
-    by rank unless ``relabel`` is false (then n stays and labels persist)."""
-    u = sorted(set(subset))
-    if u and (u[0] < 1 or u[-1] > graph.n):
-        raise ValueError(f"subset leaves the vertex range [1..{graph.n}]")
-    uset = frozenset(u)
-    kept = [e for e in graph.edges if uset.issuperset(e)]
-    if not relabel:
-        return Hypergraph(graph.n, graph.r, tuple(kept))
-    rank = {v: i + 1 for i, v in enumerate(u)}
-    mapped = sorted(tuple(sorted(rank[v] for v in e)) for e in kept)
-    return Hypergraph(len(u), graph.r, tuple(mapped))
 
 
 def _as_edge_tuples(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> list[Edge]:

@@ -2,9 +2,9 @@
 
 A polynomial is a finite map from supports (ascending tuples of variable
 indices in [1..n]) to nonzero Fractions.  This module provides evaluation,
-restriction, edge-indicator polynomials of hypergraphs, coefficient
-thresholding back into hypergraphs, exact value distributions under
-Rademacher or Bernoulli inputs, and the .mlp text format.
+restriction, edge-indicator polynomials of hypergraphs, exact value
+distributions under Rademacher or Bernoulli inputs, and the .mlp text
+format.
 
 ``exhaustive_distribution`` is exact over all assignments of the variables
 that actually appear.  It recurses on one variable at a time and memoises
@@ -26,9 +26,6 @@ from .serialize import format_rational, parse_rational
 __all__ = [
     "MultilinearPoly",
     "edge_indicator_poly",
-    "threshold_hypergraph",
-    "constant_exceeds",
-    "multiply_mod_squares",
     "ValueDistribution",
     "exhaustive_distribution",
     "parse_mlp",
@@ -151,38 +148,6 @@ def edge_indicator_poly(graph: Hypergraph) -> MultilinearPoly:
     """Sum of the edge monomials of ``graph``: on 0/1 inputs it counts the
     edges inside the set of coordinates equal to 1."""
     return MultilinearPoly(graph.n, tuple((e, Fraction(1)) for e in graph.edges))
-
-
-def threshold_hypergraph(poly: MultilinearPoly, bound: Fraction | int, d: int) -> Hypergraph:
-    """The d-uniform hypergraph of degree-d supports with |coefficient|
-    strictly above ``bound``.  Needs d >= 1; the degree-0 analogue is the
-    single flag :func:`constant_exceeds`."""
-    if d < 1:
-        raise ValueError("threshold_hypergraph needs d >= 1; use constant_exceeds for d = 0")
-    b = Fraction(bound)
-    edges = sorted(s for s, c in poly.terms if len(s) == d and abs(c) > b)
-    return Hypergraph(poly.n, d, tuple(edges))
-
-
-def constant_exceeds(poly: MultilinearPoly, bound: Fraction | int) -> bool:
-    """Whether the constant coefficient has |value| strictly above ``bound``."""
-    return abs(poly.coeff(())) > Fraction(bound)
-
-
-def multiply_mod_squares(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
-    """Product under the reduction x_i^2 = 1 (symmetric-difference
-    convolution of supports).  On inputs in {-1, +1} this agrees with the
-    numeric product, which is exactly the sense in which power sums like
-    (x_1 + ... + x_m)^d are multilinearised here."""
-    if p.n != q.n:
-        raise ValueError(f"variable counts differ: {p.n} vs {q.n}")
-    acc: dict[Support, Fraction] = {}
-    for s1, c1 in p.terms:
-        set1 = frozenset(s1)
-        for s2, c2 in q.terms:
-            key = tuple(sorted(set1.symmetric_difference(s2)))
-            acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-    return MultilinearPoly.from_terms(p.n, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Sign expansions over pair couplings: exact coefficients, the
-exhaustive expansion identity, size bounds, and dense cores."""
+exhaustive expansion identity, and size bounds."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,12 +12,9 @@ from edgestats.coupling import (
     Coupling,
     check_sign_expansion,
     coefficient_bound,
-    lo_thresholds,
-    minimal_dense_core,
     sample_coupling,
     sign_expansion_coefficient,
     sign_expansion_table,
-    top_extension_count,
 )
 from edgestats.hypergraph import (
     from_edges,
@@ -238,68 +234,6 @@ def test_expansion_coefficients_obey_the_size_bound():
         table = sign_expansion_table(poly, pairs)
         for idx, coeff in table.items():
             assert abs(coeff) <= coefficient_bound(1, poly.degree, n, len(idx))
-
-
-def test_lo_thresholds_examples():
-    # d=2, n=4, q=1: b = (16, 8, 4); f=1, t=2 -> a = 2 * 4 = 8
-    got = lo_thresholds(1, 2, 4, 1, 2)
-    assert got.bounds == (16, 8, 4)
-    assert got.aggregate == 8
-    # f=0, t=3 -> a = 3*8 + 9*4 = 60
-    assert lo_thresholds(1, 2, 4, 0, 3).aggregate == 60
-    # f=d: empty sum
-    assert lo_thresholds(1, 2, 4, 2, 3).aggregate == 0
-    with pytest.raises(ValueError):
-        lo_thresholds(1, 2, 4, 3, 1)
-
-
-def test_lo_thresholds_small_pair_case():
-    got = lo_thresholds(1, 1, 2, 0, 3)
-    assert got.bounds == (2, 2)
-    assert got.aggregate == 6
-
-
-# ---------------------------------------------------------------------------
-# dense cores
-
-
-def test_top_extension_count_counts_supersets():
-    p = MultilinearPoly.from_terms(5, {(1, 2): 1, (1, 3): 1, (4, 5): 1, (1,): 9})
-    uni = range(1, 6)
-    assert top_extension_count(p, (1,), uni) == 2
-    assert top_extension_count(p, (), uni) == 3
-    assert top_extension_count(p, (1,), (1, 2, 4, 5)) == 1
-
-
-def test_minimal_dense_core_single_term():
-    p = MultilinearPoly.from_terms(4, {(1, 2): 1})
-    # threshold (4/m)^(2-size) with m=1 needs 16 / 4 / 1 extensions; only
-    # the full edge reaches it.
-    assert minimal_dense_core(p, (1, 2), 1, range(1, 5)) == (1, 2)
-
-
-def test_minimal_dense_core_star_collapses_to_center():
-    # x_1 (x_2 + .. + x_6) has five top supports through vertex 1; with
-    # m = 2 the empty core needs (6/2)^2 = 9 > 5 but the center only
-    # (6/2)^1 = 3 <= 5, so the search stops at {1}.
-    terms = {(1, j): 1 for j in range(2, 7)}
-    p = MultilinearPoly.from_terms(6, terms)
-    assert minimal_dense_core(p, (1, 2), 2, range(1, 7)) == (1,)
-
-
-def test_minimal_dense_core_empty_when_everything_is_dense():
-    terms = {s: 1 for s in itertools.combinations(range(1, 5), 2)}
-    p = MultilinearPoly.from_terms(4, terms)
-    # B(empty) = 6 >= (4/4)^2 = 1, so the empty core qualifies first.
-    assert minimal_dense_core(p, (1, 2), 4, range(1, 5)) == ()
-
-
-def test_minimal_dense_core_rejects_non_edges():
-    p = MultilinearPoly.from_terms(4, {(1, 2): 1})
-    with pytest.raises(ValueError, match="nonzero"):
-        minimal_dense_core(p, (3, 4), 1, range(1, 5))
-    with pytest.raises(ValueError, match="universe"):
-        minimal_dense_core(p, (1, 2), 1, (1, 3, 4))
 
 
 # ---------------------------------------------------------------------------

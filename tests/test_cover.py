@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from edgestats.cover import (
     CoverCertificate,
     CoverVerification,
+    _minimal_traces,
     default_step_cap,
-    edge_residues,
     greedy_cover,
-    relevant_sets,
-    residual,
     verify_cover,
 )
-from edgestats.hypergraph import from_edges, matching_number, random_hypergraph
+from edgestats.hypergraph import _trace_groups, from_edges, matching_number, random_hypergraph
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
@@ -31,39 +29,46 @@ def tent():
 # residue families and relevance
 
 
+def _relevant_by_definition(graph, pivot):
+    """The residue family of every trace S inside the pivot, from the
+    edges whose exact pivot intersection is S, and the relevant traces
+    (nonempty family, empty families at every proper subtrace) sorted by
+    (size, lexicographic)."""
+    subsets = [s for size in range(len(pivot) + 1) for s in itertools.combinations(pivot, size)]
+    families = {
+        s: frozenset(frozenset(e) - set(s) for e in graph.edges if set(e) & set(pivot) == set(s))
+        for s in subsets
+    }
+    relevant = [
+        s
+        for s in subsets
+        if families[s] and not any(families[t] for t in subsets if set(t) < set(s))
+    ]
+    return families, sorted(relevant, key=lambda t: (len(t), t))
+
+
 def test_edge_residues_at_a_single_pivot_vertex():
-    g = tent()
-    assert edge_residues(g, [1], [1]) == frozenset(
-        {frozenset({2, 3}), frozenset({4, 5})}
-    )
-    assert edge_residues(g, [1], []) == frozenset({frozenset({3, 4, 5})})
+    groups = _trace_groups(tent(), frozenset({1}))
+    assert groups == {(1,): {frozenset({2, 3}), frozenset({4, 5})}, (): {frozenset({3, 4, 5})}}
 
 
 def test_edge_residues_empty_residue_marks_an_edge_inside_the_pivot():
     g = from_edges(4, 2, [(1, 2), (3, 4)])
-    assert frozenset() in edge_residues(g, [1, 2], [1, 2])
-
-
-def test_edge_residues_validation():
-    g = tent()
-    with pytest.raises(ValueError, match="subset of the pivot"):
-        edge_residues(g, [1], [2])
-    with pytest.raises(ValueError, match="range"):
-        edge_residues(g, [9], [9])
+    assert frozenset() in _trace_groups(g, frozenset({1, 2}))[(1, 2)]
 
 
 def test_relevant_sets_prefer_smaller_traces():
     g = tent()
     # With pivot {1}, the empty trace already has a nonempty family, so
     # {1} is not relevant.
-    assert relevant_sets(g, [1]) == [()]
+    assert _minimal_traces(_trace_groups(g, frozenset({1}))) == [()]
     # With pivot {1,3} no edge misses the pivot; {1} and {3} are the
     # minimal candidates and {1,3} is shadowed by {1}.
-    assert relevant_sets(g, [1, 3]) == [(1,), (3,)]
+    assert _minimal_traces(_trace_groups(g, frozenset({1, 3}))) == [(1,), (3,)]
 
 
 def test_relevant_sets_empty_graph():
-    assert relevant_sets(from_edges(4, 2, []), [1, 2]) == []
+    assert _minimal_traces(_trace_groups(from_edges(4, 2, []), frozenset({1, 2}))) == []
 
 
 @given(st.integers(0, 2**30))
@@ -74,53 +79,10 @@ def test_relevant_sets_and_edge_residues_match_their_definitions(seed):
     r = 2 + rand_below(rng, 2)
     g = random_hypergraph(n, r, Fraction(1 + rand_below(rng, 3), 6), rng)
     pivot = sorted(sample_ordered(rng, n, rand_below(rng, min(n, 6) + 1)))
-    subsets = [s for size in range(len(pivot) + 1) for s in itertools.combinations(pivot, size)]
-    families = {}
-    for s in subsets:
-        family = frozenset(
-            frozenset(e) - set(s) for e in g.edges if set(e) & set(pivot) == set(s)
-        )
-        assert edge_residues(g, pivot, s) == family
-        families[s] = family
-    relevant = [
-        s
-        for s in subsets
-        if families[s] and not any(families[t] for t in subsets if set(t) < set(s))
-    ]
-    assert relevant_sets(g, pivot) == sorted(relevant, key=lambda t: (len(t), t))
-
-
-# ---------------------------------------------------------------------------
-# residual graphs
-
-
-def test_residual_keeps_only_edges_avoiding_the_dropped_part():
-    g = tent()
-    rg = residual(g, [1, 3], [1])
-    assert rg.edges == frozenset({frozenset({4, 5})})
-    assert rg.top_size == 2
-    assert rg.top_class() == [(4, 5)]
-
-
-def test_residual_can_be_empty():
-    g = tent()
-    assert residual(g, [1, 3], []).edges == frozenset()
-
-
-def test_residual_collapses_duplicates_and_mixes_sizes():
-    g = tent()
-    rg = residual(g, [1, 3], [1, 3])
-    assert rg.edges == frozenset({frozenset({2}), frozenset({4, 5})})
-    assert rg.by_size() == {1: [(2,)], 2: [(4, 5)]}
-    assert rg.top_class() == [(4, 5)]
-
-
-def test_residual_validation():
-    g = tent()
-    with pytest.raises(ValueError, match="subset of the pivot"):
-        residual(g, [1], [2])
-    with pytest.raises(ValueError, match="top uniformity"):
-        residual(g, [1, 3], []).top_size
+    families, relevant = _relevant_by_definition(g, pivot)
+    groups = _trace_groups(g, frozenset(pivot))
+    assert {s: family for s, family in families.items() if family} == groups
+    assert _minimal_traces(groups) == relevant
 
 
 def _residual_by_scan(graph, pivot, kept):
@@ -171,16 +133,6 @@ def _random_case(seed):
     pivots = [sorted(pivot), sorted(covering)]
     pivots += [greedy_cover(g, m).pivot for m in (1, 2, 3)]
     return g, [p for p in pivots if len(p) <= 8]
-
-
-@given(st.integers(0, 2**30))
-@settings(max_examples=40, deadline=None)
-def test_residual_matches_the_edge_scan_at_every_kept_set(seed):
-    g, pivots = _random_case(seed)
-    for pivot in pivots:
-        for size in range(len(pivot) + 1):
-            for kept in itertools.combinations(pivot, size):
-                assert residual(g, pivot, kept).edges == _residual_by_scan(g, pivot, kept)
 
 
 @given(st.integers(0, 2**30))
@@ -239,7 +191,7 @@ def test_default_step_cap_value():
 
 def _relevant_size_vector(graph, pivot):
     counts = [0] * (graph.r + 1)
-    for s in relevant_sets(graph, pivot):
+    for s in _relevant_by_definition(graph, pivot)[1]:
         counts[len(s)] += 1
     return counts
 
@@ -316,6 +268,11 @@ def test_verify_takes_the_top_class_from_the_smallest_traces():
     check = verify_cover(g, [1, 2], 2)
     assert check.ok
     assert check.checked_subsets == 4
+
+
+def test_verify_rejects_a_pivot_outside_the_vertex_range():
+    with pytest.raises(ValueError, match="vertex range"):
+        verify_cover(tent(), [9], 1)
 
 
 def test_verify_caps_the_pivot_size():

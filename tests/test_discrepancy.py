@@ -1,6 +1,6 @@
 """Signed pair-sequence discrepancy: brute-force agreement, complement
-invariance, per-sequence bounds, heavy blocks, and two seeded empirical
-studies of the quantities involved."""
+invariance, per-sequence bounds, and two seeded empirical studies of the
+quantities involved."""
 
 import itertools
 from fractions import Fraction
@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestats import discrepancy
-from edgestats.discrepancy import heavy_disjoint_blocks, signed_discrepancy
-from edgestats.hypergraph import Hypergraph, construct_split, from_edges, random_hypergraph
-from edgestats.multilinear import MultilinearPoly, edge_indicator_poly
+from edgestats.discrepancy import signed_discrepancy
+from edgestats.hypergraph import Hypergraph, from_edges, random_hypergraph
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
@@ -154,41 +153,6 @@ def test_collecting_weights_is_capped_before_enumeration(monkeypatch):
         signed_discrepancy(g, 2, collect_weights=True)
     monkeypatch.setattr(discrepancy, "MAX_STORED_WEIGHTS", perm(6, 4))
     assert len(signed_discrepancy(g, 2, collect_weights=True).weights) == perm(6, 4)
-
-
-# ---------------------------------------------------------------------------
-# heavy disjoint blocks
-
-
-def test_heavy_blocks_on_a_split_graph():
-    g = construct_split(4, {1, 2}, 2)
-    poly = edge_indicator_poly(g)
-    report = heavy_disjoint_blocks(poly, [(1, 3), (2, 4)], 2, Fraction(1, 2))
-    assert report.blocks == ((1, 2),)
-    assert report.coefficients == (Fraction(-1, 2),)
-    assert report.count == 1
-    assert report.min_selected_abs == Fraction(1, 2)
-
-
-def test_heavy_blocks_drop_the_remainder():
-    poly = MultilinearPoly.zero(10)
-    pairs = [(2 * i + 1, 2 * i + 2) for i in range(5)]
-    report = heavy_disjoint_blocks(poly, pairs, 2, 1)
-    assert report.blocks == ((1, 2), (3, 4))
-    assert report.count == 0
-    assert report.min_selected_abs is None
-
-
-def test_heavy_blocks_ignore_supports_off_the_pairs():
-    poly = MultilinearPoly.from_terms(6, {(5, 6): 3})
-    report = heavy_disjoint_blocks(poly, [(1, 2), (3, 4)], 1, Fraction(1, 100))
-    assert report.coefficients == (0, 0)
-    assert report.count == 0
-
-
-def test_heavy_blocks_validate_block_size():
-    with pytest.raises(ValueError, match="positive"):
-        heavy_disjoint_blocks(MultilinearPoly.zero(4), [(1, 2)], 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from edgestats.hypergraph import (
     format_hg,
     from_edges,
     induced_edge_count,
-    induced_subgraph,
     lex_min_maximum_matching,
     lift_supersets,
     lift_target_level,
@@ -104,16 +103,6 @@ def test_induced_count_in_range_and_strategy_consistent(seed, n):
     got = induced_edge_count(g, subset)
     assert got == direct
     assert 0 <= got <= len(list(itertools.combinations(subset, r)))
-
-
-def test_induced_subgraph_relabeling():
-    sub = induced_subgraph(c5(), [2, 3, 4])
-    # vertices 2,3,4 -> 1,2,3; edges {2,3},{3,4} -> {1,2},{2,3}
-    assert sub.n == 3
-    assert sub.edges == ((1, 2), (2, 3))
-    kept = induced_subgraph(c5(), [2, 3, 4], relabel=False)
-    assert kept.n == 5
-    assert kept.edges == ((2, 3), (3, 4))
 
 
 # ---------------------------------------------------------------------------

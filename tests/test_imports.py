@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-top-level name is read somewhere in the package, and the package re-exports
-the public names of its seven paper modules and nothing else."""
+top-level name is read somewhere in the package, every public name of a
+paper module is read by the package or allowlisted, and the package
+re-exports the public names of its seven paper modules and nothing else."""
 
 import ast
 import importlib
@@ -154,3 +155,45 @@ def test_the_package_surface_is_the_paper_modules_all():
     for support in SUPPORT_MODULES:
         for name in importlib.import_module(f"edgestats.{support}").__all__:
             assert name not in names and not hasattr(edgestats, name), name
+
+
+def names_read_outside_their_definition(source: str) -> set[str]:
+    """Names a module reads, as bare names or attributes, leaving out the
+    reads inside the top-level def or class that binds each one."""
+    read: set[str] = set()
+    for node in ast.parse(source).body:
+        here = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                here.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                here.add(sub.attr)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            here.discard(node.name)
+        read |= here
+    return read
+
+
+# Public names that no module of the package reads, and who reads them.
+PUBLIC_BUT_UNREAD = {
+    "induced_edge_count": "the counting tests' reference",
+    "sign_expansion_coefficient": "the per-index reference for sign_expansion_table",
+    "conditional_junta": "perfbench",
+    "format_mlp": "perfbench",
+}
+
+
+def test_every_public_name_is_read_in_the_package():
+    """A public name that nothing in the package reads is dead code unless
+    it is allowlisted; an allowlisted name must still be public and still
+    unread, so the list cannot go stale."""
+    read = set().union(
+        *(
+            names_read_outside_their_definition(path.read_text())
+            for path in PACKAGE.glob("*.py")
+            if path.name != "__init__.py"
+        )
+    )
+    modules = [importlib.import_module(f"edgestats.{name}") for name in PAPER_MODULES]
+    public = {name for module in modules for name in module.__all__}
+    assert sorted(public - read) == sorted(PUBLIC_BUT_UNREAD)

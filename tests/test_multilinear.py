@@ -1,5 +1,5 @@
-"""Multilinear polynomials: evaluation, restriction, coefficient
-thresholding, exact value distributions, and the .mlp text format."""
+"""Multilinear polynomials: evaluation, restriction, exact value
+distributions, the subset-lattice kernels, and the .mlp text format."""
 
 import itertools
 import math
@@ -20,13 +20,10 @@ from edgestats.multilinear import (
     _subset_transform,
     _walsh,
     _zeta,
-    constant_exceeds,
     edge_indicator_poly,
     exhaustive_distribution,
     format_mlp,
-    multiply_mod_squares,
     parse_mlp,
-    threshold_hypergraph,
 )
 
 
@@ -115,57 +112,6 @@ def test_restrict_keeps_ambient_variable_count():
 
 
 # ---------------------------------------------------------------------------
-# coefficient thresholding
-
-
-def test_threshold_examples():
-    p = sample_poly()
-    assert threshold_hypergraph(p, 2, 2).edges == ((1, 2),)
-    assert threshold_hypergraph(p, 0, 2).edges == ((1, 2), (3, 4))
-    assert threshold_hypergraph(p, 4, 2).edges == ()
-    assert threshold_hypergraph(p, 1, 1).edges == ((1,),)
-
-
-def test_threshold_is_antitone_in_the_bound():
-    p = sample_poly()
-    bounds = [Fraction(0), Fraction(1, 2), 1, 2, 3, 10]
-    for lo, hi in itertools.combinations(bounds, 2):
-        assert set(threshold_hypergraph(p, hi, 2).edges) <= set(
-            threshold_hypergraph(p, lo, 2).edges
-        )
-
-
-def test_threshold_degree_zero_is_a_flag():
-    p = MultilinearPoly.from_terms(2, {(): 5, (1,): 1})
-    with pytest.raises(ValueError, match="d >= 1"):
-        threshold_hypergraph(p, 1, 0)
-    assert constant_exceeds(p, 4)
-    assert not constant_exceeds(p, 5)  # strict comparison
-
-
-# ---------------------------------------------------------------------------
-# products under x_i^2 = 1
-
-
-def test_multiply_mod_squares_collapses_squares():
-    x1 = MultilinearPoly.from_terms(2, {(1,): 1})
-    assert multiply_mod_squares(x1, x1).terms == (((), Fraction(1)),)
-
-
-def test_multiply_mod_squares_matches_numeric_product_on_signs():
-    p = MultilinearPoly.from_terms(3, {(1,): 2, (2, 3): -1})
-    q = MultilinearPoly.from_terms(3, {(): 1, (1, 2): 3})
-    prod = multiply_mod_squares(p, q)
-    for signs in itertools.product((-1, 1), repeat=3):
-        assert prod.evaluate(signs) == p.evaluate(signs) * q.evaluate(signs)
-
-
-def test_multiply_mod_squares_variable_count_mismatch():
-    with pytest.raises(ValueError, match="differ"):
-        multiply_mod_squares(MultilinearPoly.zero(2), MultilinearPoly.zero(3))
-
-
-# ---------------------------------------------------------------------------
 # exact distributions
 
 
@@ -210,13 +156,19 @@ def test_distribution_degenerate_product_loves_zero():
 
 def test_distribution_power_sums_decay_like_inverse_sqrt():
     """Multilinearised (x_1 + ... + x_m)^d for d = 2, 3: the sup-point
-    mass times sqrt(m) stays inside a constant window."""
+    mass times sqrt(m) stays inside a constant window.  Under x_i^2 = 1
+    the powers reduce to m + 2 e_2 and (3m - 2) e_1 + 6 e_3, with e_j the
+    elementary symmetric polynomials."""
+
+    def e(m, j, coeff):  # coeff * e_j(x_1, ..., x_m), as a term map
+        return dict.fromkeys(itertools.combinations(range(1, m + 1), j), coeff)
+
     for d in (2, 3):
         for m in range(d, 21):
-            base = MultilinearPoly.from_terms(m, {(i,): 1 for i in range(1, m + 1)})
-            power = base
-            for _ in range(d - 1):
-                power = multiply_mod_squares(power, base)
+            terms = e(m, 0, m) | e(m, 2, 2) if d == 2 else e(m, 1, 3 * m - 2) | e(m, 3, 6)
+            power = MultilinearPoly.from_terms(m, terms)
+            for plus in range(m + 1):
+                assert power.evaluate([1] * plus + [-1] * (m - plus)) == (2 * plus - m) ** d
             _, prob = exhaustive_distribution(power, "rademacher").max_point_probability()
             scaled = float(prob) * math.sqrt(m)
             assert 0.4 <= scaled <= 1.7, (d, m, scaled)
