@@ -3,9 +3,12 @@ hypergeometric and binomial laws, junta pushforwards of the slice versus
 the product measure, Poisson-type interval bounds for nonnegative
 polynomials of sparse Bernoulli inputs, and exact slice moments.
 
-All distributions here are finite and all probabilities are Fractions;
-comparisons against closed-form bounds are exact except the optional
-1/e + gamma convenience, which is irrational and reported as a float.
+All distributions here are finite and every reported probability is a
+Fraction.  The TV kernels add integer numerators over a known common
+denominator (C(n,k) times a power of n) and build one Fraction per
+reported value.  Comparisons against closed-form bounds are exact except
+the optional 1/e + gamma convenience, which is irrational and reported as
+a float.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .serialize import format_rational
 
 __all__ = [
     "TVReport",
-    "hypergeom_pmf",
-    "binom_pmf",
     "hypergeom_binom_tv",
     "max_prob_binomial_one",
     "PoissonReport",
@@ -60,42 +61,28 @@ def _comb0(m: int, j: int) -> int:
     return comb(m, j) if 0 <= j <= m else 0
 
 
-def hypergeom_pmf(n: int, k: int, t: int) -> dict[int, Fraction]:
-    """Law of |U cap T| for a uniform k-subset U of [1..n] and a fixed
-    t-set T, on the full index range 0..t (zeros included)."""
-    if not (0 <= k <= n and 0 <= t <= n):
-        raise ValueError(f"need 0 <= k, t <= n, got n={n}, k={k}, t={t}")
-    total = comb(n, k)
-    return {
-        j: Fraction(comb(t, j) * _comb0(n - t, k - j), total) for j in range(t + 1)
-    }
-
-
-def binom_pmf(t: int, p: Fraction) -> dict[int, Fraction]:
-    """Binomial(t, p) point masses on 0..t, exactly."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"success probability must lie in [0, 1], got {p}")
-    q = 1 - p
-    return {j: comb(t, j) * p**j * q ** (t - j) for j in range(t + 1)}
-
-
 def hypergeom_binom_tv(n: int, k: int, t: int) -> TVReport:
     """Exact TV distance between the k-out-of-n hypergeometric overlap law
     on a t-set and Binomial(t, k/n), against the bound (t-1)/(n-1).
 
-    The bound is only claimed when (k/n)(1-k/n)t >= 1; the report records
-    whether that held.
+    Over the common denominator C(n,k) * n^t both point masses at j carry
+    the factor C(t,j), so TV = sum_j C(t,j) * |C(n-t,k-j) * n^t -
+    C(n,k) * k^j * (n-k)^(t-j)| / (2 * C(n,k) * n^t).  The bound is only
+    claimed when (k/n)(1-k/n)t >= 1, that is k(n-k)t >= n^2; the report
+    records whether that held.
     """
     if n < 1:
         raise ValueError(f"Binomial(t, k/n) needs n >= 1, got n={n}")
-    hyp = hypergeom_pmf(n, k, t)
-    p = Fraction(k, n)
-    binom = binom_pmf(t, p)
-    tv = sum((abs(hyp[j] - binom[j]) for j in range(t + 1)), Fraction(0)) / 2
+    if not (0 <= k <= n and 0 <= t <= n):
+        raise ValueError(f"need 0 <= k, t <= n, got n={n}, k={k}, t={t}")
+    total, scale = comb(n, k), n**t
+    numerator = sum(
+        comb(t, j) * abs(_comb0(n - t, k - j) * scale - total * k**j * (n - k) ** (t - j))
+        for j in range(t + 1)
+    )
+    tv = Fraction(numerator, 2 * total * scale)
     bound = Fraction(t - 1, n - 1) if n >= 2 else Fraction(0)
-    precondition = p * (1 - p) * t >= 1
-    return TVReport(tv, bound, precondition)
+    return TVReport(tv, bound, k * (n - k) * t >= n * n)
 
 
 def max_prob_binomial_one(p: Fraction) -> Fraction:
@@ -226,21 +213,18 @@ def junta_tv(
     """
     s_coords = _junta_coords(coords, n, k)
     s = len(s_coords)
-    p = Fraction(k, n)
-    total = comb(n, k)
-    slice_law: dict[Hashable, Fraction] = {}
-    product_law: dict[Hashable, Fraction] = {}
+    total, scale = comb(n, k), n**s
+    # Over the common denominator C(n,k) * n^s, a subset of size j has
+    # slice mass C(n-s,k-j) * n^s and product mass C(n,k) * k^j * (n-k)^(s-j).
+    gap = [_comb0(n - s, k - j) * scale - total * k**j * (n - k) ** (s - j) for j in range(s + 1)]
+    law_gap: dict[Hashable, int] = {}
     for size in range(s + 1):
         for t in itertools.combinations(s_coords, size):
             if t not in table:
                 raise ValueError(f"table is missing the subset {t}")
             v = table[t]
-            pr_slice = Fraction(_comb0(n - s, k - size), total)
-            pr_prod = p**size * (1 - p) ** (s - size)
-            slice_law[v] = slice_law.get(v, Fraction(0)) + pr_slice
-            product_law[v] = product_law.get(v, Fraction(0)) + pr_prod
-    # Every value is charged under both laws, so the two share their keys.
-    tv = sum((abs(slice_law[v] - product_law[v]) for v in slice_law), Fraction(0)) / 2
+            law_gap[v] = law_gap.get(v, 0) + gap[size]
+    tv = Fraction(sum(abs(g) for g in law_gap.values()), 2 * total * scale)
     bound = (max(Fraction(s), Fraction(2 * n, k)) - 1) / (n - 1)
     return TVReport(tv, bound, True)
 

@@ -10,12 +10,16 @@ format.
 that actually appear.  It recurses on one variable at a time and memoises
 subdistributions modulo constant shift, which collapses the symmetric
 polynomials used in the anticoncentration experiments to polynomial size
-while remaining a plain exhaustive enumeration semantically.
+while remaining a plain exhaustive enumeration semantically.  The
+recursion adds integer numerators over known denominators (the lcm of
+the coefficient denominators for values, a power of the law's
+denominator for probabilities) and returns Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -77,9 +81,6 @@ class MultilinearPoly:
     @classmethod
     def zero(cls, n: int) -> "MultilinearPoly":
         return cls.from_terms(n, {})
-
-    def coeffs(self) -> dict[Support, Fraction]:
-        return dict(self.terms)
 
     def coeff(self, support: Iterable[int]) -> Fraction:
         s = tuple(sorted(support))
@@ -243,65 +244,85 @@ class ValueDistribution:
         return best_v, best_p
 
 
-def _law_branches(law: InputLaw) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Two (input value, probability) branches for one variable."""
+def _law_branches(law: InputLaw) -> tuple[tuple[tuple[int, int], tuple[int, int]], int]:
+    """Two (input value, probability numerator) branches for one variable,
+    and the probability denominator b they share."""
     if isinstance(law, str):
         if law.lower() != "rademacher":
             raise ValueError(f"unknown input law {law!r}; use 'rademacher' or a rational p")
-        half = Fraction(1, 2)
-        return (Fraction(-1), half), (Fraction(1), half)
+        return ((-1, 1), (1, 1)), 2
     p = Fraction(law)
     if not 0 <= p <= 1:
         raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {p}")
-    return (Fraction(0), 1 - p), (Fraction(1), p)
+    a, b = p.numerator, p.denominator
+    return ((0, b - a), (1, a)), b
 
 
 def exhaustive_distribution(poly: MultilinearPoly, law: InputLaw) -> ValueDistribution:
     """Exact distribution of poly's value when every variable that appears
     is drawn i.i.d. from ``law`` ('rademacher', or a rational p meaning
     Bernoulli(p) on {0, 1}).  Variables that do not appear are irrelevant
-    and are not enumerated.  At most 24 active variables."""
+    and are not enumerated.  At most 24 active variables.
+
+    The recursion runs on integers: coefficients are scaled by L, the lcm
+    of their denominators, so every value is an integer over L, and each
+    subdistribution holds integer numerators over b^m, where b is the
+    law's probability denominator and m the number of variables branched
+    on below it.  One Fraction is built per atom, at the end."""
     active = poly.active_variables
     if len(active) > MAX_ACTIVE_VARS:
         raise ValueError(
             f"{len(active)} active variables exceeds the exhaustive cap of {MAX_ACTIVE_VARS}"
         )
-    (v_lo, p_lo), (v_hi, p_hi) = _law_branches(law)
+    branches, b = _law_branches(law)
+    scale = math.lcm(*(c.denominator for _, c in poly.terms))
 
-    memo: dict[tuple, dict[Fraction, Fraction]] = {}
+    memo: dict[tuple, tuple[dict[int, int], int]] = {}
 
-    def dist(coeffs: dict[Support, Fraction]) -> dict[Fraction, Fraction]:
-        shift = coeffs.get((), Fraction(0))
+    def dist(coeffs: dict[Support, int]) -> tuple[dict[int, int], int]:
+        shift = coeffs.get((), 0)
         body = {s: c for s, c in coeffs.items() if s and c != 0}
         key = tuple(sorted(body.items()))
         got = memo.get(key)
         if got is None:
             if not body:
-                got = {Fraction(0): Fraction(1)}
+                got = {0: 1}, 0
             else:
                 var = min(s[0] for s in body)
-                without: dict[Support, Fraction] = {}
-                with_v: dict[Support, Fraction] = {}
+                without: dict[Support, int] = {}
+                with_v: dict[Support, int] = {}
                 for s, c in body.items():
                     if s and s[0] == var:
                         with_v[s[1:]] = c
                     else:
                         without[s] = c
-                got = {}
-                for value, weight in ((v_lo, p_lo), (v_hi, p_hi)):
+                children = []
+                for value, weight in branches:
                     child = dict(without)
                     for s, c in with_v.items():
-                        child[s] = child.get(s, Fraction(0)) + c * value
-                    for atom, pr in dist(child).items():
-                        got[atom] = got.get(atom, Fraction(0)) + weight * pr
+                        child[s] = child.get(s, 0) + c * value
+                    children.append((weight, *dist(child)))
+                depth = max(m for _, _, m in children)
+                atoms: dict[int, int] = {}
+                for weight, child_atoms, m in children:
+                    # Bring the child's masses over b^m up to b^depth.
+                    factor = weight * b ** (depth - m)
+                    for atom, mass in child_atoms.items():
+                        atoms[atom] = atoms.get(atom, 0) + factor * mass
+                got = atoms, depth + 1
             memo[key] = got
         if shift == 0:
             return got
-        return {atom + shift: pr for atom, pr in got.items()}
+        atoms, m = got
+        return {atom + shift: mass for atom, mass in atoms.items()}, m
 
     # Supports are ascending tuples, so s[0] is each term's least variable
     # and the recursion always branches on the least active one.
-    return ValueDistribution.from_dict(dist(dict(poly.terms)))
+    atoms, m = dist({s: c.numerator * (scale // c.denominator) for s, c in poly.terms})
+    denominator = b**m
+    return ValueDistribution.from_dict(
+        {Fraction(atom, scale): Fraction(mass, denominator) for atom, mass in atoms.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ binomial point-mass bound, interval checks for sparse nonnegative
 polynomials, junta TV on the slice, and exact slice moments."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, e
 
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestats.anticonc import (
+    TVReport,
+    _comb0,
+    _junta_coords,
     hypergeom_binom_tv,
-    hypergeom_pmf,
     junta_tv,
     max_prob_binomial_one,
     poisson_interval_check,
@@ -29,10 +32,71 @@ from edgestats.profiles import exact_profile
 # hypergeometric vs binomial
 
 
+def _hypergeom_pmf(n, k, t):
+    """Law of |U cap T| for a uniform k-subset U of [1..n] and a fixed
+    t-set T, on the full index range 0..t (zeros included).  The earlier
+    public hypergeom_pmf, kept with _binom_pmf as the Fraction oracle of
+    hypergeom_binom_tv."""
+    if not (0 <= k <= n and 0 <= t <= n):
+        raise ValueError(f"need 0 <= k, t <= n, got n={n}, k={k}, t={t}")
+    total = comb(n, k)
+    return {j: Fraction(comb(t, j) * _comb0(n - t, k - j), total) for j in range(t + 1)}
+
+
+def _binom_pmf(t, p):
+    """Binomial(t, p) point masses on 0..t, exactly."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"success probability must lie in [0, 1], got {p}")
+    q = 1 - p
+    return {j: comb(t, j) * p**j * q ** (t - j) for j in range(t + 1)}
+
+
+def _fraction_hypergeom_binom_tv(n, k, t):
+    """The earlier Fraction body of hypergeom_binom_tv, kept as its oracle."""
+    if n < 1:
+        raise ValueError(f"Binomial(t, k/n) needs n >= 1, got n={n}")
+    hyp = _hypergeom_pmf(n, k, t)
+    p = Fraction(k, n)
+    binom = _binom_pmf(t, p)
+    tv = sum((abs(hyp[j] - binom[j]) for j in range(t + 1)), Fraction(0)) / 2
+    bound = Fraction(t - 1, n - 1) if n >= 2 else Fraction(0)
+    precondition = p * (1 - p) * t >= 1
+    return TVReport(tv, bound, precondition)
+
+
 def test_hypergeom_pmf_is_a_distribution():
-    pmf = hypergeom_pmf(10, 4, 3)
+    pmf = _hypergeom_pmf(10, 4, 3)
     assert sum(pmf.values()) == 1
     assert pmf[0] == Fraction(comb(7, 4), comb(10, 4))
+    assert sum(_binom_pmf(7, Fraction(2, 5)).values()) == 1
+
+
+def test_tv_matches_the_fraction_oracle():
+    for n in range(1, 31):
+        for k in range(n + 1):
+            for t in range(n + 1):
+                report = hypergeom_binom_tv(n, k, t)
+                assert report == _fraction_hypergeom_binom_tv(n, k, t), (n, k, t)
+                assert type(report.tv) is Fraction and type(report.bound) is Fraction
+
+
+@pytest.mark.parametrize(
+    "n, k, t, message",
+    [
+        (0, 0, 0, "n >= 1"),
+        (-3, -1, -1, "n >= 1"),
+        (0, 9, 9, "n >= 1"),
+        (5, 9, 2, "need 0 <= k, t <= n, got n=5, k=9, t=2"),
+        (5, 2, 9, "need 0 <= k, t <= n, got n=5, k=2, t=9"),
+        (5, -1, 2, "need 0 <= k, t <= n, got n=5, k=-1, t=2"),
+        (5, 2, -1, "need 0 <= k, t <= n, got n=5, k=2, t=-1"),
+    ],
+)
+def test_tv_refuses_as_the_oracle_did(n, k, t, message):
+    for tv in (hypergeom_binom_tv, _fraction_hypergeom_binom_tv):
+        with pytest.raises(ValueError, match=message):
+            tv(n, k, t)
 
 
 def test_tv_spot_values():
@@ -217,6 +281,47 @@ def test_junta_tv_pair_product():
 def test_junta_tv_constant_table():
     table = {t: "same" for size in range(4) for t in itertools.combinations((2, 5, 7), size)}
     assert junta_tv(table, (2, 5, 7), 20, 6).tv == 0
+
+
+def _fraction_junta_tv(table, coords, n, k):
+    """The earlier Fraction body of junta_tv, kept as its oracle."""
+    s_coords = _junta_coords(coords, n, k)
+    s = len(s_coords)
+    p = Fraction(k, n)
+    total = comb(n, k)
+    slice_law, product_law = {}, {}
+    for size in range(s + 1):
+        for t in itertools.combinations(s_coords, size):
+            if t not in table:
+                raise ValueError(f"table is missing the subset {t}")
+            v = table[t]
+            pr_slice = Fraction(_comb0(n - s, k - size), total)
+            pr_prod = p**size * (1 - p) ** (s - size)
+            slice_law[v] = slice_law.get(v, Fraction(0)) + pr_slice
+            product_law[v] = product_law.get(v, Fraction(0)) + pr_prod
+    tv = sum((abs(slice_law[v] - product_law[v]) for v in slice_law), Fraction(0)) / 2
+    bound = (max(Fraction(s), Fraction(2 * n, k)) - 1) / (n - 1)
+    return TVReport(tv, bound, True)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_junta_tv_matches_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    pool = ["lo", "hi", "", 0, 1, -2, Fraction(1, 2), (1, 2), None]
+    for _ in range(40):
+        s = rng.randint(0, 6)
+        n = rng.randint(max(2, s), 24)
+        k = rng.randint(1, n // 2)
+        coords = rng.sample(range(1, n + 1), s)
+        values = rng.sample(pool, rng.randint(1, len(pool)))
+        table = {
+            t: rng.choice(values)
+            for size in range(s + 1)
+            for t in itertools.combinations(sorted(coords), size)
+        }
+        report = junta_tv(table, coords, n, k)
+        assert report == _fraction_junta_tv(table, coords, n, k), (table, coords, n, k)
+        assert type(report.tv) is Fraction
 
 
 def test_junta_tv_validation():

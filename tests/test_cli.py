@@ -418,6 +418,14 @@ def test_anticonc_ehm_on_an_empty_ground_set_is_a_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("k, t", [("9", "2"), ("2", "9")])
+def test_anticonc_ehm_past_the_ground_set_is_a_usage_error(k, t, capsys):
+    code, out, err = run_cli(["anticonc", "ehm", "--n", "5", "--k", k, "--t", t], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"need 0 <= k, t <= n, got n=5, k={k}, t={t}" in err
+
+
 @pytest.mark.parametrize(
     "construction",
     [
@@ -513,6 +521,9 @@ EDGE_CASES = [
     "construct split --n 4 --side 1 --r 2 --out {dir}",
     # a search deeper than the recursion limit
     "cover run --input {star} --m 2",
+    # a draw count or test-set size past the ground set
+    "anticonc ehm --n 5 --k 9 --t 2",
+    "anticonc ehm --n 5 --k 2 --t 9",
     # a pivot that misses an edge
     "cover verify --input {c5} --pivot 1,2 --m 1",
     # a junta past the 2^14 arity cap, refused before its table is built

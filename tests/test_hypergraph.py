@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestats.hypergraph import (
-    Hypergraph,
     construct_lift,
     construct_split,
     format_hg,

@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports, every private
-top-level name is read somewhere in the package, every public name of a
-paper module is read by the package or allowlisted, and the package
-re-exports the public names of its seven paper modules and nothing else."""
+"""Every module of the package and of its tests uses each name it
+imports, every private top-level name is read somewhere in the package,
+every public name of a paper module is read by the package or
+allowlisted, and the package re-exports the public names of its seven
+paper modules and nothing else."""
 
 import ast
 import importlib
@@ -11,7 +12,8 @@ import pytest
 
 import edgestats
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "edgestats"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "edgestats"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,7 +63,7 @@ def test_the_checker_flags_only_unused_imports():
 
 @pytest.mark.parametrize(
     "path",
-    sorted(PACKAGE.glob("*.py")),
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
     ids=lambda p: p.name,
 )
 def test_no_module_imports_a_name_it_never_uses(path):

@@ -15,6 +15,7 @@ from edgestats.hypergraph import from_edges
 from edgestats.multilinear import (
     MAX_ACTIVE_VARS,
     MultilinearPoly,
+    ValueDistribution,
     _cover_sums,
     _moebius,
     _subset_transform,
@@ -187,6 +188,91 @@ def test_distribution_rejects_unknown_law():
         exhaustive_distribution(p, "gaussian")
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         exhaustive_distribution(p, Fraction(3, 2))
+
+
+def _fraction_law_branches(law):
+    if isinstance(law, str):
+        if law.lower() != "rademacher":
+            raise ValueError(f"unknown input law {law!r}; use 'rademacher' or a rational p")
+        half = Fraction(1, 2)
+        return (Fraction(-1), half), (Fraction(1), half)
+    p = Fraction(law)
+    if not 0 <= p <= 1:
+        raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {p}")
+    return (Fraction(0), 1 - p), (Fraction(1), p)
+
+
+def _fraction_exhaustive_distribution(poly, law):
+    """The earlier Fraction body of exhaustive_distribution, kept as its
+    oracle: the same memoised recursion on Fraction coefficients and
+    probabilities."""
+    (v_lo, p_lo), (v_hi, p_hi) = _fraction_law_branches(law)
+    memo = {}
+
+    def dist(coeffs):
+        shift = coeffs.get((), Fraction(0))
+        body = {s: c for s, c in coeffs.items() if s and c != 0}
+        key = tuple(sorted(body.items()))
+        got = memo.get(key)
+        if got is None:
+            if not body:
+                got = {Fraction(0): Fraction(1)}
+            else:
+                var = min(s[0] for s in body)
+                without, with_v = {}, {}
+                for s, c in body.items():
+                    if s and s[0] == var:
+                        with_v[s[1:]] = c
+                    else:
+                        without[s] = c
+                got = {}
+                for value, weight in ((v_lo, p_lo), (v_hi, p_hi)):
+                    child = dict(without)
+                    for s, c in with_v.items():
+                        child[s] = child.get(s, Fraction(0)) + c * value
+                    for atom, pr in dist(child).items():
+                        got[atom] = got.get(atom, Fraction(0)) + weight * pr
+            memo[key] = got
+        if shift == 0:
+            return got
+        return {atom + shift: pr for atom, pr in got.items()}
+
+    return ValueDistribution.from_dict(dist(dict(poly.terms)))
+
+
+def _random_poly(rng):
+    """Up to 8 variables; negative, non-integer and cancelling coefficients,
+    sometimes a constant term.  A term may bring a partner on its support
+    minus the least variable, with the opposite or the equal coefficient,
+    so that setting that variable to 1 or to -1 cancels the pair."""
+    n = rng.randint(0, 8)
+    terms = {}
+    for _ in range(rng.randint(0, 7)):
+        support = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))))
+        c = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7)))
+        terms[support] = c
+        if support and rng.random() < 0.4:
+            terms[support[1:]] = rng.choice((-c, c))
+    return MultilinearPoly.from_terms(n, terms)
+
+
+@pytest.mark.parametrize(
+    "law", [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 50), "rademacher"], ids=str
+)
+def test_distribution_matches_the_fraction_oracle(law):
+    rng = random.Random(7)
+    for _ in range(150):
+        poly = _random_poly(rng)
+        dist = exhaustive_distribution(poly, law)
+        assert dist == _fraction_exhaustive_distribution(poly, law), format_mlp(poly)
+        assert all(type(v) is Fraction and type(p) is Fraction for v, p in dist.atoms)
+
+
+def test_distribution_matches_the_fraction_oracle_on_symmetric_sums():
+    for m in (5, 12, 20):
+        sums = MultilinearPoly.from_terms(m, {(i,): Fraction(3, 2) for i in range(1, m + 1)})
+        for law in (Fraction(2, 7), "rademacher"):
+            assert exhaustive_distribution(sums, law) == _fraction_exhaustive_distribution(sums, law)
 
 
 def test_edge_indicator_counts_edges():

@@ -1,6 +1,5 @@
 """The seeded draw protocol and the exact-rational wire format."""
 
-import itertools
 import re
 from fractions import Fraction
 
