@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable
@@ -38,7 +37,7 @@ from .multilinear import MultilinearPoly, edge_indicator_poly, exhaustive_distri
 from .profiles import estimate_point
 from .rng import new_generator, rand_below, sample_ordered
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA", "run_criterion"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class CriterionResult:
     name: str
     ok: bool
     detail: str
-    elapsed: float = 0.0  # wall seconds, measured by run_criterion
 
     @property
     def line(self) -> str:
@@ -385,18 +383,4 @@ CRITERIA: dict[int, Callable[[], CriterionResult]] = {
 def run_criterion(index: int) -> CriterionResult:
     if index not in CRITERIA:
         raise ValueError(f"no acceptance criterion numbered {index}")
-    start = time.perf_counter()
-    result = CRITERIA[index]()
-    return replace(result, elapsed=time.perf_counter() - start)
-
-
-def run_all(only: list[int] | None = None, report=print) -> list[CriterionResult]:
-    """Run the batteries in order, emitting one line per criterion through
-    ``report`` as each finishes."""
-    indices = sorted(CRITERIA) if only is None else sorted(set(only))
-    results = []
-    for i in indices:
-        res = run_criterion(i)
-        results.append(res)
-        report(res.line)
-    return results
+    return CRITERIA[index]()

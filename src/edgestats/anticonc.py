@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .multilinear import MultilinearPoly, _cover_sums, exhaustive_distribution
@@ -61,6 +61,21 @@ def _comb0(m: int, j: int) -> int:
     return comb(m, j) if 0 <= j <= m else 0
 
 
+def _slice_product_gaps(n: int, k: int, s: int) -> tuple[list[int], int]:
+    """For j = 0..s, the slice mass minus the product mass of one j-subset
+    of s fixed coordinates, as numerators over the common denominator
+    C(n,k) * n^s, which comes second: a uniform k-subset of [1..n] meets
+    the coordinates in exactly that subset with probability
+    C(n-s,k-j) / C(n,k), and i.i.d. Bernoulli(k/n) inputs with probability
+    k^j * (n-k)^(s-j) / n^s.  Needs 0 <= k, s <= n."""
+    total, scale = comb(n, k), n**s
+    gaps = [
+        _comb0(n - s, k - j) * scale - total * k**j * (n - k) ** (s - j)
+        for j in range(s + 1)
+    ]
+    return gaps, total * scale
+
+
 def hypergeom_binom_tv(n: int, k: int, t: int) -> TVReport:
     """Exact TV distance between the k-out-of-n hypergeometric overlap law
     on a t-set and Binomial(t, k/n), against the bound (t-1)/(n-1).
@@ -75,12 +90,9 @@ def hypergeom_binom_tv(n: int, k: int, t: int) -> TVReport:
         raise ValueError(f"Binomial(t, k/n) needs n >= 1, got n={n}")
     if not (0 <= k <= n and 0 <= t <= n):
         raise ValueError(f"need 0 <= k, t <= n, got n={n}, k={k}, t={t}")
-    total, scale = comb(n, k), n**t
-    numerator = sum(
-        comb(t, j) * abs(_comb0(n - t, k - j) * scale - total * k**j * (n - k) ** (t - j))
-        for j in range(t + 1)
-    )
-    tv = Fraction(numerator, 2 * total * scale)
+    gaps, denominator = _slice_product_gaps(n, k, t)
+    numerator = sum(comb(t, j) * abs(gap) for j, gap in enumerate(gaps))
+    tv = Fraction(numerator, 2 * denominator)
     bound = Fraction(t - 1, n - 1) if n >= 2 else Fraction(0)
     return TVReport(tv, bound, k * (n - k) * t >= n * n)
 
@@ -213,18 +225,15 @@ def junta_tv(
     """
     s_coords = _junta_coords(coords, n, k)
     s = len(s_coords)
-    total, scale = comb(n, k), n**s
-    # Over the common denominator C(n,k) * n^s, a subset of size j has
-    # slice mass C(n-s,k-j) * n^s and product mass C(n,k) * k^j * (n-k)^(s-j).
-    gap = [_comb0(n - s, k - j) * scale - total * k**j * (n - k) ** (s - j) for j in range(s + 1)]
+    gaps, denominator = _slice_product_gaps(n, k, s)
     law_gap: dict[Hashable, int] = {}
     for size in range(s + 1):
         for t in itertools.combinations(s_coords, size):
             if t not in table:
                 raise ValueError(f"table is missing the subset {t}")
             v = table[t]
-            law_gap[v] = law_gap.get(v, 0) + gap[size]
-    tv = Fraction(sum(abs(g) for g in law_gap.values()), 2 * total * scale)
+            law_gap[v] = law_gap.get(v, 0) + gaps[size]
+    tv = Fraction(sum(abs(g) for g in law_gap.values()), 2 * denominator)
     bound = (max(Fraction(s), Fraction(2 * n, k)) - 1) / (n - 1)
     return TVReport(tv, bound, True)
 
@@ -240,14 +249,11 @@ MOMENT_SUBSET_CAP = 2**20
 def slice_monomial_mean(size: int, n: int, k: int) -> Fraction:
     """E of a 0/1 monomial on a given support size under the uniform
     k-slice: the falling-factorial ratio (k)_size / (n)_size."""
+    if not 0 <= k <= n:
+        raise ValueError(f"slice weight {k} outside [0..{n}]")
     if size < 0 or size > n:
         raise ValueError(f"support size {size} outside [0..{n}]")
-    out = Fraction(1)
-    for i in range(size):
-        out *= Fraction(k - i, n - i)
-        if out == 0:
-            return out
-    return out
+    return Fraction(perm(k, size), perm(n, size))
 
 
 def slice_covariance(w: Iterable[int], t: Iterable[int], n: int, k: int) -> Fraction:
@@ -257,8 +263,6 @@ def slice_covariance(w: Iterable[int], t: Iterable[int], n: int, k: int) -> Frac
     union = ws | ts
     if union and (min(union) < 1 or max(union) > n):
         raise ValueError(f"supports leave the vertex range [1..{n}]")
-    if not 0 <= k <= n:
-        raise ValueError(f"slice weight {k} outside [0..{n}]")
     return slice_monomial_mean(len(union), n, k) - slice_monomial_mean(
         len(ws), n, k
     ) * slice_monomial_mean(len(ts), n, k)

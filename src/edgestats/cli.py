@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from .acceptance import CRITERIA, run_all
+from .acceptance import CRITERIA, run_criterion
 from .anticonc import (
     _junta_coords,
     hypergeom_binom_tv,
@@ -239,16 +239,21 @@ def _cmd_cover_verify(args, graph) -> dict:
 
 
 def _cmd_suite_acceptance(args) -> dict:
-    only = None
+    indices = sorted(CRITERIA)
     if args.only is not None:
-        only = [int(tok) for tok in args.only.replace(",", " ").split()]
-        unknown = sorted(set(only) - set(CRITERIA))
+        indices = sorted({int(tok) for tok in args.only.replace(",", " ").split()})
+        if not indices:
+            raise ValueError(f"--only {args.only!r} selects no criterion")
+        unknown = sorted(set(indices) - set(CRITERIA))
         if unknown:
             raise ValueError(f"unknown criteria: {unknown}")
-    results = run_all(only, report=lambda line: print(line, file=sys.stderr))
+    results = []
+    for index in indices:
+        results.append(run_criterion(index))
+        print(results[-1].line, file=sys.stderr)
     failures = [r for r in results if not r.ok]
     return _report(
-        {"only": sorted(set(only)) if only is not None else sorted(CRITERIA)},
+        {"only": indices},
         {"criteria": [r.to_json_dict() for r in results]},
         [f"criterion {r.index} failed: {r.name}" for r in failures],
     )

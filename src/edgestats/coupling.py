@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .multilinear import MultilinearPoly, _subset_transform, _walsh
 from .rng import new_generator, rademacher, sample_ordered
@@ -32,7 +32,6 @@ from .serialize import format_rational
 __all__ = [
     "Coupling",
     "sample_coupling",
-    "sign_expansion_coefficient",
     "sign_expansion_table",
     "SignExpansionReport",
     "check_sign_expansion",
@@ -71,23 +70,6 @@ class Coupling:
     @property
     def k(self) -> int:
         return len(self.pairs)
-
-    @property
-    def paired_vertices(self) -> frozenset[int]:
-        return frozenset(v for p in self.pairs for v in p)
-
-    @property
-    def chosen(self) -> frozenset[int]:
-        """The vertex each sign selects: plus slot on +1, minus slot on -1."""
-        return frozenset(
-            p[1] if s == 1 else p[0] for p, s in zip(self.pairs, self.signs)
-        )
-
-    @property
-    def sigma(self) -> tuple[int, ...]:
-        """The full 0/1 vector on [1..n] indicating the chosen vertices."""
-        chosen = self.chosen
-        return tuple(1 if v in chosen else 0 for v in range(1, self.n + 1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,23 +119,6 @@ def _expansion_contributions(poly: MultilinearPoly, pairs: Sequence[Pair]):
             continue
         minus_slots = frozenset(i for i, side in touched.items() if side == -1)
         yield frozenset(touched), minus_slots, coeff, len(support)
-
-
-def sign_expansion_coefficient(
-    poly: MultilinearPoly, pairs: Sequence[Pair], index: Iterable[int]
-) -> Fraction:
-    """Coefficient of the sign monomial prod_{i in index} xi_i in the
-    expansion of ``poly`` over a coupling with the given pairs."""
-    ps = _validate_pairs(tuple(pairs), poly.n)
-    idx = frozenset(index)
-    if idx and (min(idx) < 1 or max(idx) > len(ps)):
-        raise ValueError(f"sign index {sorted(idx)} leaves the pair range [1..{len(ps)}]")
-    total = Fraction(0)
-    for touched, minus_slots, coeff, size in _expansion_contributions(poly, ps):
-        if idx <= touched:
-            sign = -1 if len(idx & minus_slots) % 2 else 1
-            total += sign * coeff * Fraction(1, 2**size)
-    return total
 
 
 def sign_expansion_table(

@@ -36,14 +36,21 @@ __all__ = [
 Edge = tuple[int, ...]
 
 
-def _canonical_edge(edge: Iterable[int], n: int, r: int, *, label: str = "edge") -> Edge:
+def _check_shape(n: int, r: int) -> None:
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if r < 1:
+        raise ValueError(f"uniformity must be a positive integer, got {r}")
+
+
+def _canonical_edge(edge: Iterable[int], n: int, r: int) -> Edge:
     vs = sorted(edge)
     if len(vs) != r:
-        raise ValueError(f"{label} {tuple(edge)} has {len(vs)} vertices, expected {r}")
+        raise ValueError(f"edge {tuple(edge)} has {len(vs)} vertices, expected {r}")
     if len(set(vs)) != len(vs):
-        raise ValueError(f"{label} {tuple(edge)} repeats a vertex")
+        raise ValueError(f"edge {tuple(edge)} repeats a vertex")
     if vs and (vs[0] < 1 or vs[-1] > n):
-        raise ValueError(f"{label} {tuple(vs)} leaves the vertex range [1..{n}]")
+        raise ValueError(f"edge {tuple(vs)} leaves the vertex range [1..{n}]")
     return tuple(vs)
 
 
@@ -92,10 +99,7 @@ def from_edges(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     and duplicate edges (the artifact treats a repeated edge as a data
     error, not a multiset).
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if r < 1:
-        raise ValueError(f"uniformity must be a positive integer, got {r}")
+    _check_shape(n, r)
     canon: list[Edge] = []
     seen: set[Edge] = set()
     for e in edges:
@@ -345,8 +349,7 @@ def split_target_level(k: int, s_hits: int, r: int) -> int:
 def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
     """All r-sets meeting the distinguished vertex set in exactly one vertex.
     Refuses up front to build more than MAX_CONSTRUCTED_EDGES of them."""
-    if r < 1:
-        raise ValueError(f"uniformity must be a positive integer, got {r}")
+    _check_shape(n, r)
     s = sorted(set(side))
     if s and (s[0] < 1 or s[-1] > n):
         raise ValueError(f"distinguished side leaves the vertex range [1..{n}]")
@@ -368,7 +371,9 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
 
 def random_hypergraph(n: int, r: int, p: Fraction | int, seed_or_rng) -> Hypergraph:
     """Each r-set of [1..n] kept independently with exact probability p,
-    decided in lexicographic order.  Accepts a seed or a live generator."""
+    decided in lexicographic order.  Accepts a seed or a live generator;
+    refuses n < 0 and r < 1 as from_edges does."""
+    _check_shape(n, r)
     rng = seed_or_rng if hasattr(seed_or_rng, "getrandbits") else new_generator(seed_or_rng)
     p = Fraction(p)
     edges = [

@@ -2,9 +2,8 @@
 
 A polynomial is a finite map from supports (ascending tuples of variable
 indices in [1..n]) to nonzero Fractions.  This module provides evaluation,
-restriction, edge-indicator polynomials of hypergraphs, exact value
-distributions under Rademacher or Bernoulli inputs, and the .mlp text
-format.
+edge-indicator polynomials of hypergraphs, exact value distributions under
+Rademacher or Bernoulli inputs, and the .mlp text format.
 
 ``exhaustive_distribution`` is exact over all assignments of the variables
 that actually appear.  It recurses on one variable at a time and memoises
@@ -59,16 +58,11 @@ class MultilinearPoly:
     terms: tuple[tuple[Support, Fraction], ...]
 
     @classmethod
-    def from_terms(
-        cls,
-        n: int,
-        terms: Mapping[Iterable[int], Fraction | int] | Iterable[tuple[Iterable[int], Fraction | int]],
-    ) -> "MultilinearPoly":
+    def from_terms(cls, n: int, terms: Mapping[Iterable[int], Fraction | int]) -> "MultilinearPoly":
         if n < 0:
             raise ValueError(f"variable count must be nonnegative, got {n}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Support, Fraction] = {}
-        for support, coeff in items:
+        for support, coeff in terms.items():
             s = _canonical_support(support, n)
             if s in acc:
                 raise ValueError(f"duplicate term support {s}")
@@ -77,10 +71,6 @@ class MultilinearPoly:
                 acc[s] = c
         ordered = tuple(sorted(acc.items(), key=lambda it: (len(it[0]), it[0])))
         return cls(n, ordered)
-
-    @classmethod
-    def zero(cls, n: int) -> "MultilinearPoly":
-        return cls.from_terms(n, {})
 
     def coeff(self, support: Iterable[int]) -> Fraction:
         s = tuple(sorted(support))
@@ -123,27 +113,6 @@ class MultilinearPoly:
             total += prod
         return total
 
-    def restrict(self, assignment: Mapping[int, Fraction | int]) -> "MultilinearPoly":
-        """Fix a subset of coordinates; the result keeps the ambient n."""
-        fixed = {int(i): Fraction(v) for i, v in assignment.items()}
-        for i in fixed:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"assignment fixes x_{i}, outside [1..{self.n}]")
-        acc: dict[Support, Fraction] = {}
-        for support, c in self.terms:
-            scale = c
-            free: list[int] = []
-            for v in support:
-                if v in fixed:
-                    scale *= fixed[v]
-                else:
-                    free.append(v)
-            if scale == 0:
-                continue
-            key = tuple(free)
-            acc[key] = acc.get(key, Fraction(0)) + scale
-        return MultilinearPoly.from_terms(self.n, acc)
-
 
 def edge_indicator_poly(graph: Hypergraph) -> MultilinearPoly:
     """Sum of the edge monomials of ``graph``: on 0/1 inputs it counts the
@@ -153,7 +122,7 @@ def edge_indicator_poly(graph: Hypergraph) -> MultilinearPoly:
 
 # ---------------------------------------------------------------------------
 # The subset-lattice kernels: co-degrees, and Yates' butterfly with its
-# three pair functions
+# two pair functions
 
 
 def _cover_sums(
@@ -190,10 +159,6 @@ def _zeta(lo, hi):  # sum over subsets: T gathers the weights of every S inside 
     return lo, lo + hi
 
 
-def _moebius(lo, hi):  # the inverse of _zeta (Moebius inversion)
-    return lo, hi - lo
-
-
 def _walsh(lo, hi):  # Walsh-Hadamard: M gathers the sum of w_I * (-1)^|I cap M|
     return lo + hi, lo - hi
 
@@ -208,26 +173,6 @@ class ValueDistribution:
     tuple of (value, probability), probabilities summing to 1."""
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, d: Mapping[Fraction, Fraction]) -> "ValueDistribution":
-        items = tuple(sorted((Fraction(v), Fraction(p)) for v, p in d.items() if p != 0))
-        total = sum(p for _, p in items)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        if any(p < 0 for _, p in items):
-            raise ValueError("negative probability atom")
-        return cls(items)
-
-    def as_dict(self) -> dict[Fraction, Fraction]:
-        return dict(self.atoms)
-
-    def point_probability(self, value: Fraction | int) -> Fraction:
-        v = Fraction(value)
-        for val, p in self.atoms:
-            if val == v:
-                return p
-        return Fraction(0)
 
     def interval_probability(self, center: Fraction | int, radius: Fraction | int) -> Fraction:
         """Pr[|X - center| <= radius]."""
@@ -320,8 +265,15 @@ def exhaustive_distribution(poly: MultilinearPoly, law: InputLaw) -> ValueDistri
     # and the recursion always branches on the least active one.
     atoms, m = dist({s: c.numerator * (scale // c.denominator) for s, c in poly.terms})
     denominator = b**m
-    return ValueDistribution.from_dict(
-        {Fraction(atom, scale): Fraction(mass, denominator) for atom, mass in atoms.items()}
+    if sum(atoms.values()) != denominator or min(atoms.values()) < 0:
+        raise ValueError(f"the atom masses over {denominator} are not a probability law")
+    # Values are atom / scale with scale > 0, so integer order is value order.
+    return ValueDistribution(
+        tuple(
+            (Fraction(atom, scale), Fraction(mass, denominator))
+            for atom, mass in sorted(atoms.items())
+            if mass
+        )
     )
 
 

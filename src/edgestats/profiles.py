@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .hypergraph import Hypergraph, _edge_counter, _trace_groups
-from .multilinear import MultilinearPoly, _moebius, _subset_transform, _zeta
+from .multilinear import _subset_transform, _zeta
 from .rng import new_generator, sample_ordered
 from .serialize import format_rational
 
@@ -153,8 +153,7 @@ class JuntaTable:
     """E[e(G[U]) | U cap Y = T] for every T subseteq Y, exactly.
 
     Subsets T with no k-subset satisfying U cap Y = T are flagged
-    infeasible and carry value 0.  The table is the primary object; a
-    multilinear view exists through :meth:`as_polynomial`.
+    infeasible and carry value 0.
     """
 
     n: int
@@ -181,16 +180,6 @@ class JuntaTable:
         if need < 0 or need > outside:
             return Fraction(0)
         return Fraction(comb(outside, need), comb(self.n, self.k))
-
-    def as_polynomial(self) -> MultilinearPoly:
-        """Moebius inversion of the table into a multilinear polynomial on
-        the pivot coordinates: p(1_T) equals the table value at T.  Only
-        defined when every subset is feasible."""
-        bad = [t for t, e in sorted(self.entries.items()) if not e.feasible]
-        if bad:
-            raise ValueError(f"table has infeasible subsets, no total polynomial view: {bad}")
-        values = {t: e.value for t, e in self.entries.items()}
-        return MultilinearPoly.from_terms(self.n, _subset_transform(self.pivot, values, _moebius))
 
     def to_json_dict(self) -> dict:
         return {

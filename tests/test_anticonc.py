@@ -348,6 +348,24 @@ def test_slice_monomial_mean_values():
     assert slice_monomial_mean(5, 6, 3) == 0  # more vertices than the slice
 
 
+def test_slice_monomial_mean_is_the_product_of_the_draw_ratios():
+    """Pr[a fixed size-set lies inside a uniform k-subset] is the product,
+    over its vertices in turn, of (k - i) / (n - i)."""
+    for n in range(9):
+        for k in range(n + 1):
+            for size in range(n + 1):
+                expected = Fraction(1)
+                for i in range(size):
+                    expected *= Fraction(k - i, n - i)
+                assert slice_monomial_mean(size, n, k) == expected, (size, n, k)
+
+
+@pytest.mark.parametrize("size, n, k", [(1, 4, 5), (0, 4, -1), (0, 0, 1)])
+def test_slice_monomial_mean_refuses_a_weight_outside_the_slice(size, n, k):
+    with pytest.raises(ValueError, match=rf"^slice weight {k} outside \[0\.\.{n}\]$"):
+        slice_monomial_mean(size, n, k)
+
+
 def test_slice_covariance_spots():
     assert slice_covariance((1,), (2,), 4, 2) == Fraction(-1, 12)
     assert slice_covariance((1, 2), (1, 2), 4, 2) == Fraction(5, 36)
@@ -429,7 +447,7 @@ def test_slice_moments_validation():
     with pytest.raises(ValueError, match="slice range"):
         slice_moments(poly, 5, 2)
     with pytest.raises(ValueError, match="slice weight"):
-        slice_moments(MultilinearPoly.zero(4), 4, 5)
+        slice_moments(MultilinearPoly.from_terms(4, {}), 4, 5)
 
 
 def test_slice_moments_refuses_too_many_support_subsets():

@@ -398,6 +398,13 @@ def test_unknown_criterion_is_rejected(capsys):
     assert "unknown" in err
 
 
+@pytest.mark.parametrize("only", [",", " ", ""])
+def test_an_empty_criterion_selection_is_rejected(only, capsys):
+    code, out, err = run_cli(["suite", "acceptance", "--only", only], capsys)
+    assert (code, out) == (2, "")
+    assert f"--only {only!r} selects no criterion" in err
+
+
 def test_argparse_usage_error_is_exit_two(capsys):
     code, _, _ = run_cli(["profile", "--k", "2"], capsys)  # no --input
     assert code == 2

@@ -1,6 +1,7 @@
 """Sign expansions over pair couplings: exact coefficients, the
 exhaustive expansion identity, and size bounds."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from edgestats.coupling import (
     check_sign_expansion,
     coefficient_bound,
     sample_coupling,
-    sign_expansion_coefficient,
     sign_expansion_table,
 )
 from edgestats.hypergraph import (
@@ -41,24 +41,17 @@ def test_coupling_validation():
         Coupling(4, ((1, 2),), (0,))
 
 
-def test_coupling_chosen_and_sigma():
-    c = Coupling(5, ((1, 2), (4, 3)), (1, -1))
-    assert c.chosen == {2, 4}
-    assert c.sigma == (0, 1, 0, 1, 0)
-    assert c.paired_vertices == {1, 2, 3, 4}
-    assert c.k == 2
-
-
 def test_sample_coupling_determinism():
     a = sample_coupling(10, 3, seed=5)
     b = sample_coupling(10, 3, seed=5)
     assert a == b
-    assert len(a.paired_vertices) == 6
+    assert a.k == 3
+    assert len({v for pair in a.pairs for v in pair}) == 6
 
 
 def test_sample_coupling_tight_fit_uses_every_vertex():
     c = sample_coupling(8, 4, seed=17)
-    assert c.paired_vertices == frozenset(range(1, 9))
+    assert {v for pair in c.pairs for v in pair} == set(range(1, 9))
     with pytest.raises(ValueError, match="2k <= n"):
         sample_coupling(7, 4, seed=0)
 
@@ -70,6 +63,25 @@ def test_sample_coupling_rejects_a_negative_pair_count():
 
 # ---------------------------------------------------------------------------
 # frozen worked examples for the expansion coefficients
+
+
+def expansion_coefficient(poly, pairs, index):
+    """The coefficient of the sign monomial prod_{i in index} xi_i, read
+    off the module docstring term by term: a support W inside the paired
+    vertices that holds no pair entirely touches the pairs J(W), and feeds
+    the index I when I lies in J(W), with weight (-1)^(minus slots of I hit
+    by W) times its coefficient times 2^(-|W|)."""
+    paired = {v for pair in pairs for v in pair}
+    total = Fraction(0)
+    for support, coeff in poly.terms:
+        w = set(support)
+        if not w <= paired or any(set(pair) <= w for pair in pairs):
+            continue
+        touched = {i for i, pair in enumerate(pairs, start=1) if w & set(pair)}
+        if set(index) <= touched:
+            minus_hits = sum(1 for i in index if pairs[i - 1][0] in w)
+            total += (-1) ** minus_hits * coeff / 2 ** len(w)
+    return total
 
 
 def test_single_variable_on_its_plus_slot():
@@ -103,7 +115,7 @@ def test_product_of_two_minus_slots():
     assert table[(1,)] == Fraction(-1, 4)
     assert table[(2,)] == Fraction(-1, 4)
     assert table[(1, 2)] == Fraction(1, 4)
-    assert sign_expansion_coefficient(p, [(1, 3), (2, 4)], (2,)) == Fraction(-1, 4)
+    assert expansion_coefficient(p, [(1, 3), (2, 4)], (2,)) == Fraction(-1, 4)
 
 
 def test_support_outside_the_pairs_contributes_nothing():
@@ -125,13 +137,7 @@ def test_constant_term_passes_through():
 
 
 def test_zero_polynomial_has_empty_table():
-    assert sign_expansion_table(MultilinearPoly.zero(4), [(1, 2), (3, 4)]) == {}
-
-
-def test_coefficient_index_out_of_range():
-    p = MultilinearPoly.from_terms(2, {(1,): 1})
-    with pytest.raises(ValueError, match="pair range"):
-        sign_expansion_coefficient(p, [(1, 2)], (2,))
+    assert sign_expansion_table(MultilinearPoly.from_terms(4, {}), [(1, 2), (3, 4)]) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +160,11 @@ def test_check_sign_expansion_report_shape():
     assert report.assignments_checked == 4
     assert report.max_abs_discrepancy == 0
     for idx, coeff in report.coefficients.items():
-        assert coeff == sign_expansion_coefficient(p, [(1, 3), (2, 4)], idx)
+        assert coeff == expansion_coefficient(p, [(1, 3), (2, 4)], idx)
 
 
 def test_check_sign_expansion_caps_k():
-    p = MultilinearPoly.zero(42)
+    p = MultilinearPoly.from_terms(42, {})
     pairs = [(2 * i + 1, 2 * i + 2) for i in range(21)]
     with pytest.raises(ValueError, match="cap"):
         check_sign_expansion(p, pairs)
@@ -178,9 +184,9 @@ def test_expansion_identity_on_random_graphs(seed):
     assert report.max_abs_discrepancy == 0
 
 
-@given(st.integers(0, 2**30))
-@settings(max_examples=50, deadline=None)
-def test_expansion_identity_on_signed_rational_polynomials(seed):
+def signed_instance(seed):
+    """A seeded polynomial on up to 10 variables with signed rational
+    coefficients, and the pairs of a seeded coupling on its variables."""
     rng = new_generator(seed)
     n = rand_below(rng, 11)
     terms = {}
@@ -188,8 +194,27 @@ def test_expansion_identity_on_signed_rational_polynomials(seed):
         support = tuple(sorted(sample_ordered(rng, n, rand_below(rng, min(n, 4) + 1))))
         terms[support] = Fraction(rand_below(rng, 19) - 9, 1 + rand_below(rng, 7))
     poly = MultilinearPoly.from_terms(n, terms)
-    report = check_sign_expansion(poly, sample_coupling(n, rand_below(rng, n // 2 + 1), seed).pairs)
+    return poly, sample_coupling(n, rand_below(rng, n // 2 + 1), seed).pairs
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=50, deadline=None)
+def test_expansion_identity_on_signed_rational_polynomials(seed):
+    report = check_sign_expansion(*signed_instance(seed))
     assert report.max_abs_discrepancy == 0
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=50, deadline=None)
+def test_table_matches_the_definition_at_every_index(seed):
+    """Each of the 2^k sign indices, present in the table or absent from
+    it, carries the coefficient the definition gives; none present is 0."""
+    poly, pairs = signed_instance(seed)
+    table = sign_expansion_table(poly, pairs)
+    assert 0 not in table.values()
+    for size in range(len(pairs) + 1):
+        for idx in itertools.combinations(range(1, len(pairs) + 1), size):
+            assert table.get(idx, 0) == expansion_coefficient(poly, pairs, idx)
 
 
 @pytest.mark.parametrize("index, delta", [((1,), Fraction(1, 7)), ((1, 2, 3), Fraction(-3))])

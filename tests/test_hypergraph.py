@@ -305,6 +305,24 @@ def test_random_hypergraph_probability_extremes():
     assert random_hypergraph(6, 2, 1, seed_or_rng=5).edge_count == 15
 
 
+@pytest.mark.parametrize(
+    "n, r, message",
+    [
+        (-2, 2, "vertex count must be nonnegative, got -2"),
+        (4, 0, "uniformity must be a positive integer, got 0"),
+        (4, -1, "uniformity must be a positive integer, got -1"),
+    ],
+)
+def test_generators_refuse_the_shapes_from_edges_refuses(n, r, message):
+    for build in (
+        lambda: random_hypergraph(n, r, 1, 0),
+        lambda: construct_split(n, [], r),
+        lambda: from_edges(n, r, []),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
 def test_complement_partitions_r_sets():
     g = c5()
     comp = g.complement()

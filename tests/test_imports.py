@@ -1,11 +1,12 @@
 """Every module of the package and of its tests uses each name it
 imports, every private top-level name is read somewhere in the package,
-every public name of a paper module is read by the package or
-allowlisted, and the package re-exports the public names of its seven
-paper modules and nothing else."""
+every public name of a paper module and every public member of a public
+class is read by the package or allowlisted, and the package re-exports
+the public names of its seven paper modules and nothing else."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -179,7 +180,6 @@ def names_read_outside_their_definition(source: str) -> set[str]:
 # Public names that no module of the package reads, and who reads them.
 PUBLIC_BUT_UNREAD = {
     "induced_edge_count": "the counting tests' reference",
-    "sign_expansion_coefficient": "the per-index reference for sign_expansion_table",
     "conditional_junta": "perfbench",
     "format_mlp": "perfbench",
 }
@@ -199,3 +199,83 @@ def test_every_public_name_is_read_in_the_package():
     modules = [importlib.import_module(f"edgestats.{name}") for name in PAPER_MODULES]
     public = {name for module in modules for name in module.__all__}
     assert sorted(public - read) == sorted(PUBLIC_BUT_UNREAD)
+
+
+def attribute_reads(node: ast.AST) -> Counter[str]:
+    return Counter(
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def unread_members(sources: dict[str, str]) -> list[str]:
+    """The public methods, properties and classmethods of the public
+    top-level classes of the given modules (name -> source) that no module
+    reads as an attribute outside the member's own body, as 'Class.member'.
+    Reads match by name alone, whatever object they are made on."""
+    members: list[tuple[str, ast.FunctionDef]] = []
+    reads: Counter[str] = Counter()
+    for source in sources.values():
+        tree = ast.parse(source)
+        reads += attribute_reads(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                members += [
+                    (node.name, member)
+                    for member in node.body
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not member.name.startswith("_")
+                ]
+    return sorted(
+        f"{cls}.{member.name}"
+        for cls, member in members
+        if reads[member.name] == attribute_reads(member)[member.name]
+    )
+
+
+def test_the_checker_flags_only_unread_members():
+    sources = {
+        "a": (
+            "class Shape:\n"
+            "    def area(self):\n"
+            "        return self.side * self.side\n"
+            "    @property\n"
+            "    def side(self):\n"
+            "        return 2\n"
+            "    @classmethod\n"
+            "    def unit(cls):\n"
+            "        return cls.unit()\n"
+            "    def shown(self):\n"
+            "        return 1\n"
+            "    def spare(self):\n"
+            "        return 0\n"
+            "    def __eq__(self, other):\n"
+            "        return True\n"
+            "    def _helper(self):\n"
+            "        return 0\n"
+            "class _Hidden:\n"
+            "    def never(self):\n"
+            "        return 0\n"
+            "def spare():\n"
+            "    return 0\n"
+        ),
+        "b": "from .a import Shape\nAREA = Shape().area()\nSHOWN = AREA.shown\n",
+    }
+    assert unread_members(sources) == ["Shape.spare", "Shape.unit"]
+
+
+# Public class members that no module of the package reads, and who reads them.
+MEMBERS_BUT_UNREAD = {
+    "MultilinearPoly.evaluate": "the polynomial tests' oracle",
+    "Hypergraph.complement": "the discrepancy tests' oracle",
+    "JuntaTable.feasible_items": "perfbench",
+}
+
+
+def test_every_public_member_is_read_in_the_package():
+    """A public member that nothing in the package reads is dead code
+    unless it is allowlisted; an allowlisted member must still exist and
+    still be unread, so the list cannot go stale."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_members(sources) == sorted(MEMBERS_BUT_UNREAD)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestats.hypergraph import from_edges, induced_edge_count, random_hypergraph
-from edgestats.multilinear import MultilinearPoly
 from edgestats.profiles import JuntaEntry, conditional_junta, estimate_point, exact_profile
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
@@ -292,16 +291,6 @@ def test_junta_subset_probabilities_sum_to_one():
     assert sum(probs) == 1
 
 
-def test_junta_polynomial_view_matches_table():
-    g = c5()
-    table = conditional_junta(g, 3, [1, 2])
-    poly = table.as_polynomial()
-    for size in range(3):
-        for t in itertools.combinations((1, 2), size):
-            point = {v: (1 if v in t else 0) for v in (1, 2)}
-            assert poly.evaluate(point) == table.value(t)
-
-
 @given(st.integers(0, 2**30))
 @settings(max_examples=30, deadline=None)
 def test_junta_matches_the_conditional_mean_by_enumeration(seed):
@@ -327,46 +316,8 @@ def test_junta_matches_the_conditional_mean_by_enumeration(seed):
                 assert entry == JuntaEntry(Fraction(sum(counts), len(counts)), True)
 
 
-def _moebius_by_enumeration(table):
-    """The 3^s loop as_polynomial used to run: each coefficient is the
-    signed sum of the table over the subsets of its support."""
-    coeffs = {}
-    for s in table.entries:
-        total = Fraction(0)
-        for size in range(len(s) + 1):
-            for t in itertools.combinations(s, size):
-                total += (-1) ** (len(s) - size) * table.entries[t].value
-        if total != 0:
-            coeffs[s] = total
-    return MultilinearPoly.from_terms(table.n, coeffs)
-
-
-@given(st.integers(0, 2**30))
-@settings(max_examples=30, deadline=None)
-def test_junta_polynomial_view_on_random_pivots(seed):
-    rng = new_generator(seed)
-    y = rand_below(rng, 7)
-    n = max(1, 2 * y + rand_below(rng, 4))
-    r = 1 + rand_below(rng, min(n, 3))
-    g = random_hypergraph(n, r, Fraction(1 + rand_below(rng, 4), 6), rng)
-    pivot = sorted(sample_ordered(rng, n, y))
-    k = y + rand_below(rng, n - 2 * y + 1)  # every T inside the pivot is feasible
-    table = conditional_junta(g, k, pivot)
-    poly = table.as_polynomial()
-    assert poly.terms == _moebius_by_enumeration(table).terms
-    for t in table.entries:
-        assert poly.evaluate({v: int(v in t) for v in pivot}) == table.value(t)
-
-
 def test_junta_lookups_outside_the_pivot_are_value_errors():
     table = conditional_junta(from_edges(4, 2, [(1, 2)]), 2, [1, 2])
     for lookup in (table.value, table.subset_probability):
         with pytest.raises(ValueError, match=r"\(3,\) is not a subset of the pivot \(1, 2\)"):
             lookup([3])
-
-
-def test_junta_polynomial_view_refuses_partial_table():
-    g = from_edges(4, 2, [(1, 2)])
-    table = conditional_junta(g, 2, [1, 2, 3])
-    with pytest.raises(ValueError, match="infeasible"):
-        table.as_polynomial()
