@@ -57,7 +57,7 @@ def _write_hg(graph, out: str) -> dict:
     return {"out": out, "out_digest": _digest(path)}
 
 
-def _parse_vertex_list(text: str, label: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
     try:
         out = tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
@@ -122,7 +122,7 @@ def _cmd_construct_lift(args) -> dict:
 
 
 def _cmd_construct_split(args) -> dict:
-    side = _parse_vertex_list(args.side, "--side")
+    side = _parse_int_list(args.side, "--side")
     graph = construct_split(args.n, side, args.r)
     results = {
         "n": graph.n,
@@ -228,7 +228,7 @@ def _cmd_cover_run(args, graph) -> dict:
 
 
 def _cmd_cover_verify(args, graph) -> dict:
-    pivot = _parse_vertex_list(args.pivot, "--pivot")
+    pivot = _parse_int_list(args.pivot, "--pivot")
     ver = verify_cover(graph, pivot, args.m)
     violations = []
     if ver.failing_edge is not None:
@@ -241,7 +241,7 @@ def _cmd_cover_verify(args, graph) -> dict:
 def _cmd_suite_acceptance(args) -> dict:
     indices = sorted(CRITERIA)
     if args.only is not None:
-        indices = sorted({int(tok) for tok in args.only.replace(",", " ").split()})
+        indices = sorted(set(_parse_int_list(args.only, "--only")))
         if not indices:
             raise ValueError(f"--only {args.only!r} selects no criterion")
         unknown = sorted(set(indices) - set(CRITERIA))

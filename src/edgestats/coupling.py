@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from .hypergraph import _check_cap, _vertices
 from .multilinear import MultilinearPoly, _subset_transform, _walsh
 from .rng import new_generator, rademacher, sample_ordered
 from .serialize import format_rational
@@ -44,11 +45,7 @@ SignIndex = tuple[int, ...]
 
 def _validate_pairs(pairs: Sequence[Pair], n: int) -> tuple[Pair, ...]:
     ps = tuple((int(a), int(b)) for a, b in pairs)
-    flat = [v for p in ps for v in p]
-    if len(set(flat)) != len(flat):
-        raise ValueError("coupling pairs must use pairwise distinct vertices")
-    if flat and (min(flat) < 1 or max(flat) > n):
-        raise ValueError(f"coupling pairs leave the vertex range [1..{n}]")
+    _vertices((v for p in ps for v in p), n, "coupling", distinct=True)
     return ps
 
 
@@ -168,8 +165,7 @@ def check_sign_expansion(poly: MultilinearPoly, pairs: Sequence[Pair]) -> SignEx
     """
     ps = _validate_pairs(tuple(pairs), poly.n)
     k = len(ps)
-    if k > 20:
-        raise ValueError(f"k = {k} sign variables exceeds the exhaustive cap of 20")
+    _check_cap("sign variables", k, 20)
     table = sign_expansion_table(poly, ps)
     expanded = _subset_transform(range(1, k + 1), table, _walsh)
     # The direct side: supports and chosen sets as vertex bitmasks, and

@@ -23,7 +23,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .hypergraph import Hypergraph, _trace_groups, lex_min_maximum_matching, matching_number
+from .hypergraph import (
+    Hypergraph,
+    _check_cap,
+    _trace_groups,
+    _vertices,
+    lex_min_maximum_matching,
+    matching_number,
+)
 
 __all__ = [
     "CoverStep",
@@ -169,15 +176,9 @@ def verify_cover(graph: Hypergraph, pivot: Iterable[int], m: int) -> CoverVerifi
     size r - |T|, so the top class at X unites the residue families of the
     smallest non-full traces inside X.
     """
-    yset = frozenset(pivot)
-    y = sorted(yset)
-    if y and (y[0] < 1 or y[-1] > graph.n):
-        raise ValueError(f"pivot leaves the vertex range [1..{graph.n}]")
-    if len(y) > VERIFY_PIVOT_CAP:
-        raise ValueError(
-            f"pivot of size {len(y)} needs 2^{len(y)} subset checks, above the cap"
-        )
-    groups = _trace_groups(graph, yset)
+    y = _vertices(pivot, graph.n, "pivot")
+    _check_cap(f"2^{len(y)} pivot subset checks", 1 << len(y), 1 << VERIFY_PIVOT_CAP)
+    groups = _trace_groups(graph, frozenset(y))
     if y and () in groups:  # an edge missing the pivot is its own residue
         return CoverVerification(False, None, min(tuple(sorted(e)) for e in groups[()]), 0)
     levels = [

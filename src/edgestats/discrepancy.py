@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 
+from .hypergraph import _check_cap
 from .multilinear import _cover_sums
 from .serialize import format_rational
 
@@ -111,15 +112,13 @@ def signed_discrepancy(
     if 2 * s > n:
         raise ValueError(f"need 2s <= n distinct vertices, got s={s}, n={n}")
     seq_count = perm(n, 2 * s)
-    if n ** (2 * s) * comb(n, r - s) > term_cap:
-        raise ValueError(
-            f"about {n ** (2 * s) * comb(n, r - s)} elementary terms exceeds the cap "
-            f"{term_cap}; raise term_cap to force the enumeration"
-        )
-    if collect_weights and seq_count > MAX_STORED_WEIGHTS:
-        raise ValueError(
-            f"storing {seq_count} sequence weights exceeds the cap of {MAX_STORED_WEIGHTS}"
-        )
+    _check_cap(
+        f"term_cap: {n}^{2 * s} * C({n},{r - s}) elementary terms",
+        n ** (2 * s) * comb(n, r - s),
+        term_cap,
+    )
+    if collect_weights:
+        _check_cap("stored sequence weights", seq_count, MAX_STORED_WEIGHTS)
 
     # link[T][v] = d(T + {v}) for each (s - 1)-set T and each v outside it.
     link: dict[tuple[int, ...], dict[int, int]] = {}

@@ -43,15 +43,31 @@ def _check_shape(n: int, r: int) -> None:
         raise ValueError(f"uniformity must be a positive integer, got {r}")
 
 
+def _check_cap(what: str, count: int, cap: int) -> None:
+    """Refuse, before the work starts, a count of work past its cap.  A
+    count past 2^64 is shown by its bit length, as its digits could run
+    to thousands."""
+    if count > cap:
+        shown = count if count < 2**64 else f"at least 2^{count.bit_length() - 1}"
+        raise ValueError(f"{what} = {shown} exceeds the cap of {cap}")
+
+
+def _vertices(ids: Iterable[int], n: int, what: str, *, distinct: bool = False) -> Edge:
+    """``ids`` as an ascending tuple, refusing any id outside [1..n]; with
+    ``distinct``, refusing a repeated id instead of merging it."""
+    out = tuple(sorted(ids if distinct else set(ids)))
+    if distinct and len(set(out)) != len(out):
+        raise ValueError(f"{what} {out} repeats a vertex")
+    if out and (out[0] < 1 or out[-1] > n):
+        raise ValueError(f"{what} {out} leaves the vertex range [1..{n}]")
+    return out
+
+
 def _canonical_edge(edge: Iterable[int], n: int, r: int) -> Edge:
-    vs = sorted(edge)
+    vs = tuple(edge)
     if len(vs) != r:
-        raise ValueError(f"edge {tuple(edge)} has {len(vs)} vertices, expected {r}")
-    if len(set(vs)) != len(vs):
-        raise ValueError(f"edge {tuple(edge)} repeats a vertex")
-    if vs and (vs[0] < 1 or vs[-1] > n):
-        raise ValueError(f"edge {tuple(vs)} leaves the vertex range [1..{n}]")
-    return tuple(vs)
+        raise ValueError(f"edge {vs} has {len(vs)} vertices, expected {r}")
+    return _vertices(vs, n, "edge", distinct=True)
 
 
 @dataclass(frozen=True)
@@ -200,10 +216,7 @@ def _trace_groups(graph: Hypergraph, y: frozenset[int]) -> dict[Edge, set[frozen
 
 def induced_edge_count(graph: Hypergraph, subset: Iterable[int]) -> int:
     """Number of edges of ``graph`` contained in ``subset``."""
-    u = sorted(set(subset))
-    if u and (u[0] < 1 or u[-1] > graph.n):
-        bad = [v for v in u if not 1 <= v <= graph.n]
-        raise ValueError(f"subset contains vertices outside [1..{graph.n}]: {bad}")
+    u = _vertices(subset, graph.n, "subset")
     return _edge_counter(graph, len(u))(u)
 
 
@@ -300,22 +313,16 @@ def lift_target_level(k: int, s: int, r: int) -> int:
 MAX_CONSTRUCTED_EDGES = 10**7
 
 
-def _check_construction_size(what: str, count: int) -> None:
-    if count > MAX_CONSTRUCTED_EDGES:
-        raise ValueError(
-            f"{what} = {count} exceeds the construction cap of {MAX_CONSTRUCTED_EDGES}"
-        )
-
-
 def lift_supersets(base: Hypergraph, r: int) -> Hypergraph:
     """All r-sets of [1..n] containing at least one edge of ``base``."""
     if r < base.r:
         raise ValueError(f"lift uniformity {r} is below the base uniformity {base.r}")
     n = base.n
     if base.edges:  # then n >= base.r, as every edge lies in [1..n]
-        _check_construction_size(
+        _check_cap(
             f"{base.edge_count} base edges times C({n - base.r},{r - base.r}) supersets",
             base.edge_count * comb(n - base.r, r - base.r),
+            MAX_CONSTRUCTED_EDGES,
         )
     out: set[Edge] = set()
     for f in base.edges:
@@ -335,7 +342,7 @@ def construct_lift(n: int, k: int, s: int, r: int, seed: int) -> LiftConstructio
     """
     if not 1 <= s <= r <= k <= n:
         raise ValueError(f"need 1 <= s <= r <= k <= n, got s={s}, r={r}, k={k}, n={n}")
-    _check_construction_size(f"C({n},{s}) base draws", comb(n, s))
+    _check_cap(f"C({n},{s}) base draws", comb(n, s), MAX_CONSTRUCTED_EDGES)
     base = random_hypergraph(n, s, Fraction(1, comb(k, s)), seed)
     return LiftConstruction(lift_supersets(base, r), base, lift_target_level(k, s, r))
 
@@ -350,13 +357,13 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
     """All r-sets meeting the distinguished vertex set in exactly one vertex.
     Refuses up front to build more than MAX_CONSTRUCTED_EDGES of them."""
     _check_shape(n, r)
-    s = sorted(set(side))
-    if s and (s[0] < 1 or s[-1] > n):
-        raise ValueError(f"distinguished side leaves the vertex range [1..{n}]")
+    s = _vertices(side, n, "distinguished side")
     if r > n:
         raise ValueError(f"uniformity {r} exceeds vertex count {n}")
-    _check_construction_size(
-        f"{len(s)} * C({n - len(s)},{r - 1}) split edges", len(s) * comb(n - len(s), r - 1)
+    _check_cap(
+        f"{len(s)} * C({n - len(s)},{r - 1}) split edges",
+        len(s) * comb(n - len(s), r - 1),
+        MAX_CONSTRUCTED_EDGES,
     )
     sset = set(s)
     rest = [v for v in range(1, n + 1) if v not in sset]

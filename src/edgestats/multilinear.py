@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _check_cap, _vertices
 from .serialize import format_rational, parse_rational
 
 __all__ = [
@@ -41,15 +41,6 @@ InputLaw = Union[str, int, Fraction]
 MAX_ACTIVE_VARS = 24
 
 
-def _canonical_support(support: Iterable[int], n: int) -> Support:
-    t = tuple(sorted(support))
-    if len(set(t)) != len(t):
-        raise ValueError(f"support {tuple(support)} repeats a variable")
-    if t and (t[0] < 1 or t[-1] > n):
-        raise ValueError(f"support {t} leaves the variable range [1..{n}]")
-    return t
-
-
 @dataclass(frozen=True)
 class MultilinearPoly:
     """Immutable multilinear polynomial in variables x_1 .. x_n."""
@@ -63,7 +54,7 @@ class MultilinearPoly:
             raise ValueError(f"variable count must be nonnegative, got {n}")
         acc: dict[Support, Fraction] = {}
         for support, coeff in terms.items():
-            s = _canonical_support(support, n)
+            s = _vertices(support, n, "support", distinct=True)
             if s in acc:
                 raise ValueError(f"duplicate term support {s}")
             c = Fraction(coeff)
@@ -215,10 +206,7 @@ def exhaustive_distribution(poly: MultilinearPoly, law: InputLaw) -> ValueDistri
     law's probability denominator and m the number of variables branched
     on below it.  One Fraction is built per atom, at the end."""
     active = poly.active_variables
-    if len(active) > MAX_ACTIVE_VARS:
-        raise ValueError(
-            f"{len(active)} active variables exceeds the exhaustive cap of {MAX_ACTIVE_VARS}"
-        )
+    _check_cap("active variables", len(active), MAX_ACTIVE_VARS)
     branches, b = _law_branches(law)
     scale = math.lcm(*(c.denominator for _, c in poly.terms))
 

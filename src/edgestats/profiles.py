@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .hypergraph import Hypergraph, _edge_counter, _trace_groups
+from .hypergraph import Hypergraph, _check_cap, _edge_counter, _trace_groups, _vertices
 from .multilinear import _subset_transform, _zeta
 from .rng import new_generator, sample_ordered
 from .serialize import format_rational
@@ -45,9 +45,6 @@ class EdgeProfile:
     counts: Mapping[int, int]
     total: int
 
-    def probability(self, level: int) -> Fraction:
-        return Fraction(self.counts.get(level, 0), self.total)
-
     def mean(self) -> Fraction:
         return Fraction(
             sum(level * mult for level, mult in self.counts.items()), self.total
@@ -73,11 +70,7 @@ def exact_profile(graph: Hypergraph, k: int, *, max_subsets: int = DEFAULT_PROFI
     if not 0 <= k <= graph.n:
         raise ValueError(f"subset size {k} outside [0..{graph.n}]")
     total = comb(graph.n, k)
-    if total > max_subsets:
-        raise ValueError(
-            f"C({graph.n},{k}) = {total} subsets exceeds the enumeration cap "
-            f"{max_subsets}; raise max_subsets or use estimate_point"
-        )
+    _check_cap(f"max_subsets: C({graph.n},{k}) subsets", total, max_subsets)
     counts: dict[int, int] = {}
     count = _edge_counter(graph, k)
     for u in itertools.combinations(range(1, graph.n + 1), k):
@@ -161,12 +154,6 @@ class JuntaTable:
     pivot: tuple[int, ...]
     entries: Mapping[tuple[int, ...], JuntaEntry]
 
-    def value(self, subset: Iterable[int]) -> Fraction:
-        t = tuple(sorted(subset))
-        if self.subset_probability(t) == 0:  # raises for a set outside the pivot
-            raise ValueError(f"conditioning event U cap Y = {t} has probability zero")
-        return self.entries[t].value
-
     def feasible_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return [(t, e.value) for t, e in sorted(self.entries.items()) if e.feasible]
 
@@ -203,11 +190,8 @@ def conditional_junta(graph: Hypergraph, k: int, pivot: Iterable[int]) -> JuntaT
     of [1..n] minus Y, so each edge W contributes the exact hypergeometric
     probability that W minus Y lands inside it, provided W cap Y lies in T.
     """
-    y = tuple(sorted(set(pivot)))
-    if y and (y[0] < 1 or y[-1] > graph.n):
-        raise ValueError(f"pivot leaves the vertex range [1..{graph.n}]")
-    if len(y) > 20:
-        raise ValueError(f"pivot of size {len(y)} exceeds the 2^20 table cap")
+    y = _vertices(pivot, graph.n, "pivot")
+    _check_cap(f"2^{len(y)} pivot subsets", 1 << len(y), 1 << 20)
     if not 0 <= k <= graph.n:
         raise ValueError(f"subset size {k} outside [0..{graph.n}]")
     outside = graph.n - len(y)

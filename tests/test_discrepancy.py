@@ -144,7 +144,8 @@ def test_argument_validation_and_term_cap():
 
 def test_collecting_weights_is_capped_before_enumeration(monkeypatch):
     wide = from_edges(100, 2, [(1, 2)])
-    with pytest.raises(ValueError, match="94109400 sequence weights exceeds the cap"):
+    message = "stored sequence weights = 94109400 exceeds the cap of 10000000"
+    with pytest.raises(ValueError, match=message):
         signed_discrepancy(wide, 2, collect_weights=True)
     g = from_edges(6, 2, [(1, 2)])
     monkeypatch.setattr(discrepancy, "MAX_STORED_WEIGHTS", perm(6, 4) - 1)

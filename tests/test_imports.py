@@ -270,6 +270,7 @@ MEMBERS_BUT_UNREAD = {
     "MultilinearPoly.evaluate": "the polynomial tests' oracle",
     "Hypergraph.complement": "the discrepancy tests' oracle",
     "JuntaTable.feasible_items": "perfbench",
+    "JuntaTable.subset_probability": "perfbench",
 }
 
 
@@ -279,3 +280,56 @@ def test_every_public_member_is_read_in_the_package():
     still be unread, so the list cannot go stale."""
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_members(sources) == sorted(MEMBERS_BUT_UNREAD)
+
+
+# Each refusal policy is written once, in its helper in hypergraph.py: work
+# past a cap in _check_cap, vertex ids outside [1..n] in _vertices.
+REFUSAL_PHRASES = ("exceeds the cap", "vertex range")
+REFUSAL_HELPERS = {"_check_cap", "_vertices"}
+
+
+def hand_written_refusals(source: str) -> list[str]:
+    """String literals (f-string parts and docstrings included) that say a
+    refusal phrase outside the top-level helpers that own the phrases."""
+    tree = ast.parse(source)
+    owned = {
+        id(sub)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in REFUSAL_HELPERS
+        for sub in ast.walk(node)
+    }
+    found = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in owned
+        and any(phrase in node.value for phrase in REFUSAL_PHRASES)
+    ]
+    return [f"line {line}: {text!r}" for line, text in sorted(found)]
+
+
+def test_the_checker_flags_only_hand_written_refusals():
+    source = (
+        "def _check_cap(what, count, cap):\n"
+        "    if count > cap:\n"
+        "        raise ValueError(f'{what} = {count} exceeds the cap of {cap}')\n"
+        "def _vertices(ids, n, what):\n"
+        "    raise ValueError(f'{what} {ids} leaves the vertex range [1..{n}]')\n"
+        "def build(n, k):\n"
+        "    if k > 9:\n"
+        "        raise ValueError(f'k = {k} exceeds the cap of 9')\n"
+        "    def _vertices(ids):\n"
+        "        raise ValueError('ids leave the vertex range')\n"
+        "    return _check_cap('k', k, 9)\n"
+        "NOTE = 'refused past the cap; outside the range'\n"
+    )
+    assert hand_written_refusals(source) == [
+        "line 8: ' exceeds the cap of 9'",
+        "line 10: 'ids leave the vertex range'",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_cap_and_vertex_range_refusal_goes_through_its_helper(path):
+    assert hand_written_refusals(path.read_text()) == []
