@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 
-from .hypergraph import _check_cap
+from .hypergraph import _check_cap_by_bound
 from .multilinear import _cover_sums
 from .serialize import format_rational
 
@@ -111,14 +111,21 @@ def signed_discrepancy(
         raise ValueError(f"need 1 <= s <= r, got s={s}, r={r}")
     if 2 * s > n:
         raise ValueError(f"need 2s <= n distinct vertices, got s={s}, n={n}")
-    seq_count = perm(n, 2 * s)
-    _check_cap(
+    # n^(2s) >= 2^(2s * (bitlength(n) - 1)), and C(n, r - s) is 0 past n.
+    _check_cap_by_bound(
         f"term_cap: {n}^{2 * s} * C({n},{r - s}) elementary terms",
-        n ** (2 * s) * comb(n, r - s),
+        2 * s * (n.bit_length() - 1) + min(r - s, n - r + s) if r - s <= n else 0,
+        lambda: n ** (2 * s) * comb(n, r - s),
         term_cap,
     )
-    if collect_weights:
-        _check_cap("stored sequence weights", seq_count, MAX_STORED_WEIGHTS)
+    if collect_weights:  # n!/(n - 2s)! >= C(n, 2s)
+        _check_cap_by_bound(
+            "stored sequence weights",
+            min(2 * s, n - 2 * s),
+            lambda: perm(n, 2 * s),
+            MAX_STORED_WEIGHTS,
+        )
+    seq_count = perm(n, 2 * s)
 
     # link[T][v] = d(T + {v}) for each (s - 1)-set T and each v outside it.
     link: dict[tuple[int, ...], dict[int, int]] = {}

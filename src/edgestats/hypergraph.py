@@ -9,12 +9,14 @@ construction; all operations are pure and safe to call concurrently.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .rng import bernoulli, new_generator
+from .serialize import _read_records
 
 __all__ = [
     "Hypergraph",
@@ -50,6 +52,17 @@ def _check_cap(what: str, count: int, cap: int) -> None:
     if count > cap:
         shown = count if count < 2**64 else f"at least 2^{count.bit_length() - 1}"
         raise ValueError(f"{what} = {shown} exceeds the cap of {cap}")
+
+
+def _check_cap_by_bound(what: str, bits: int, count: Callable[[], int], cap: int) -> None:
+    """_check_cap for a count that is itself costly to compute, given a
+    cheap ``bits`` with count >= 2^bits (C(n, j) >= 2^min(j, n - j) for
+    0 <= j <= n).  A bound of 64 bits or more that already passes the cap
+    refuses without the count; otherwise the count is computed and
+    checked, so a count below 2^64 is always shown exactly."""
+    if bits >= 64:
+        _check_cap(what, 1 << bits, cap)
+    _check_cap(what, count(), cap)
 
 
 def _vertices(ids: Iterable[int], n: int, what: str, *, distinct: bool = False) -> Edge:
@@ -190,8 +203,13 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
         return count
 
     tail_mask = index.get
+    top = max(index.values()).bit_length() - 1
 
     def count(u: Sequence[int]) -> int:
+        # An edge inside U ends at a tail of at most ``top``, so U is cut
+        # there before its mask is made: the ids above would only widen
+        # the mask, up to 2^n bits on a graph with a huge n.
+        u = u[: bisect_right(u, top)]
         mask = 0
         for v in u:
             mask |= 1 << v
@@ -319,9 +337,10 @@ def lift_supersets(base: Hypergraph, r: int) -> Hypergraph:
         raise ValueError(f"lift uniformity {r} is below the base uniformity {base.r}")
     n = base.n
     if base.edges:  # then n >= base.r, as every edge lies in [1..n]
-        _check_cap(
+        _check_cap_by_bound(
             f"{base.edge_count} base edges times C({n - base.r},{r - base.r}) supersets",
-            base.edge_count * comb(n - base.r, r - base.r),
+            min(r - base.r, n - r),
+            lambda: base.edge_count * comb(n - base.r, r - base.r),
             MAX_CONSTRUCTED_EDGES,
         )
     out: set[Edge] = set()
@@ -342,7 +361,9 @@ def construct_lift(n: int, k: int, s: int, r: int, seed: int) -> LiftConstructio
     """
     if not 1 <= s <= r <= k <= n:
         raise ValueError(f"need 1 <= s <= r <= k <= n, got s={s}, r={r}, k={k}, n={n}")
-    _check_cap(f"C({n},{s}) base draws", comb(n, s), MAX_CONSTRUCTED_EDGES)
+    _check_cap_by_bound(
+        f"C({n},{s}) base draws", min(s, n - s), lambda: comb(n, s), MAX_CONSTRUCTED_EDGES
+    )
     base = random_hypergraph(n, s, Fraction(1, comb(k, s)), seed)
     return LiftConstruction(lift_supersets(base, r), base, lift_target_level(k, s, r))
 
@@ -360,9 +381,10 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
     s = _vertices(side, n, "distinguished side")
     if r > n:
         raise ValueError(f"uniformity {r} exceeds vertex count {n}")
-    _check_cap(
+    _check_cap_by_bound(
         f"{len(s)} * C({n - len(s)},{r - 1}) split edges",
-        len(s) * comb(n - len(s), r - 1),
+        min(r - 1, n - len(s) - r + 1) if s else 0,
+        lambda: len(s) * comb(n - len(s), r - 1),
         MAX_CONSTRUCTED_EDGES,
     )
     sset = set(s)
@@ -390,47 +412,14 @@ def random_hypergraph(n: int, r: int, p: Fraction | int, seed_or_rng) -> Hypergr
 
 
 # ---------------------------------------------------------------------------
-# .hg file format: line 1 is "<n> <r>", then one edge per line as ascending
-# space-separated vertex ids; '#' starts a comment; blank lines ignored.
+# .hg file format: the header is "<n> <r>", then one edge per line as its
+# r vertex ids; the shared rules are in serialize._read_records.
 
 
 def parse_hg(text: str) -> Hypergraph:
-    """Parse .hg text; errors carry the 1-based offending line number."""
-    n = r = None
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: header must be '<n> <r>', got {raw!r}")
-            try:
-                n, r = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: header must hold two integers") from None
-            if n < 0 or r < 1:
-                raise ValueError(f"line {lineno}: invalid header values n={n}, r={r}")
-            continue
-        try:
-            vs = [int(x) for x in parts]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer vertex id in {raw!r}") from None
-        if len(vs) != r:
-            raise ValueError(f"line {lineno}: edge has {len(vs)} vertices, expected {r}")
-        if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
-            raise ValueError(f"line {lineno}: vertices must be strictly ascending")
-        if vs[0] < 1 or vs[-1] > n:
-            raise ValueError(f"line {lineno}: vertex outside [1..{n}]")
-        e = tuple(vs)
-        if e in seen:
-            raise ValueError(f"line {lineno}: duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-    if n is None:
-        raise ValueError("empty input: missing '<n> <r>' header line")
+    """Parse .hg text, refusing a bad edge as from_edges does, after the
+    1-based number of its line."""
+    (n, r), edges = _read_records(text, "<n> <r>", _check_shape, _canonical_edge, "edge")
     edges.sort()
     return Hypergraph(n, r, tuple(edges))
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .hypergraph import Hypergraph, _check_cap, _vertices
-from .serialize import format_rational, parse_rational
+from .serialize import _read_records, format_rational, parse_rational
 
 __all__ = [
     "MultilinearPoly",
@@ -41,6 +41,15 @@ InputLaw = Union[str, int, Fraction]
 MAX_ACTIVE_VARS = 24
 
 
+def _check_variable_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"variable count must be nonnegative, got {n}")
+
+
+def _support(ids: Iterable[int], n: int) -> Support:
+    return _vertices(ids, n, "support", distinct=True)
+
+
 @dataclass(frozen=True)
 class MultilinearPoly:
     """Immutable multilinear polynomial in variables x_1 .. x_n."""
@@ -50,17 +59,15 @@ class MultilinearPoly:
 
     @classmethod
     def from_terms(cls, n: int, terms: Mapping[Iterable[int], Fraction | int]) -> "MultilinearPoly":
-        if n < 0:
-            raise ValueError(f"variable count must be nonnegative, got {n}")
+        _check_variable_count(n)
         acc: dict[Support, Fraction] = {}
         for support, coeff in terms.items():
-            s = _vertices(support, n, "support", distinct=True)
+            s = _support(support, n)
             if s in acc:
                 raise ValueError(f"duplicate term support {s}")
-            c = Fraction(coeff)
-            if c != 0:
-                acc[s] = c
-        ordered = tuple(sorted(acc.items(), key=lambda it: (len(it[0]), it[0])))
+            acc[s] = Fraction(coeff)
+        nonzero = ((s, c) for s, c in acc.items() if c)
+        ordered = tuple(sorted(nonzero, key=lambda it: (len(it[0]), it[0])))
         return cls(n, ordered)
 
     def coeff(self, support: Iterable[int]) -> Fraction:
@@ -266,47 +273,19 @@ def exhaustive_distribution(poly: MultilinearPoly, law: InputLaw) -> ValueDistri
 
 
 # ---------------------------------------------------------------------------
-# .mlp file format: line 1 is "<n>"; each further line is
-# "<num>/<den> : v1 v2 ..." (empty variable list for the constant term);
-# '#' starts a comment; blank lines ignored; duplicate supports rejected.
+# .mlp file format: the header is "<n>", then one term per line as
+# "<num>/<den> : v1 v2 ..." (an integer coefficient may drop "/<den>",
+# and the constant term lists no variables); the shared rules are in
+# serialize._read_records.
 
 
 def parse_mlp(text: str) -> MultilinearPoly:
-    n = None
-    acc: dict[Support, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise ValueError(f"line {lineno}: header must be the variable count") from None
-            if n < 0:
-                raise ValueError(f"line {lineno}: negative variable count {n}")
-            continue
-        if ":" not in line:
-            raise ValueError(f"line {lineno}: expected '<coeff> : <vars>', got {raw!r}")
-        coeff_part, var_part = line.split(":", 1)
-        try:
-            coeff = parse_rational(coeff_part)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        try:
-            support = tuple(int(x) for x in var_part.split())
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer variable id in {raw!r}") from None
-        if any(support[i] >= support[i + 1] for i in range(len(support) - 1)):
-            raise ValueError(f"line {lineno}: variables must be strictly ascending")
-        if support and (support[0] < 1 or support[-1] > n):
-            raise ValueError(f"line {lineno}: variable outside [1..{n}]")
-        if support in acc:
-            raise ValueError(f"line {lineno}: duplicate support {support}")
-        acc[support] = coeff
-    if n is None:
-        raise ValueError("empty input: missing variable-count header line")
-    return MultilinearPoly.from_terms(n, acc)
+    """Parse .mlp text, refusing a bad term as from_terms does, after the
+    1-based number of its line."""
+    (n,), terms = _read_records(
+        text, "<n>", _check_variable_count, _support, "term support", ("coeff", parse_rational)
+    )
+    return MultilinearPoly.from_terms(n, dict(terms))
 
 
 def format_mlp(poly: MultilinearPoly) -> str:

@@ -14,7 +14,14 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .hypergraph import Hypergraph, _check_cap, _edge_counter, _trace_groups, _vertices
+from .hypergraph import (
+    Hypergraph,
+    _check_cap,
+    _check_cap_by_bound,
+    _edge_counter,
+    _trace_groups,
+    _vertices,
+)
 from .multilinear import _subset_transform, _zeta
 from .rng import new_generator, sample_ordered
 from .serialize import format_rational
@@ -69,14 +76,18 @@ def exact_profile(graph: Hypergraph, k: int, *, max_subsets: int = DEFAULT_PROFI
     """
     if not 0 <= k <= graph.n:
         raise ValueError(f"subset size {k} outside [0..{graph.n}]")
-    total = comb(graph.n, k)
-    _check_cap(f"max_subsets: C({graph.n},{k}) subsets", total, max_subsets)
+    _check_cap_by_bound(
+        f"max_subsets: C({graph.n},{k}) subsets",
+        min(k, graph.n - k),
+        lambda: comb(graph.n, k),
+        max_subsets,
+    )
     counts: dict[int, int] = {}
     count = _edge_counter(graph, k)
     for u in itertools.combinations(range(1, graph.n + 1), k):
         c = count(u)
         counts[c] = counts.get(c, 0) + 1
-    return EdgeProfile(graph.n, k, counts, total)
+    return EdgeProfile(graph.n, k, counts, sum(counts.values()))
 
 
 @dataclass(frozen=True)

@@ -282,15 +282,19 @@ def test_every_public_member_is_read_in_the_package():
     assert unread_members(sources) == sorted(MEMBERS_BUT_UNREAD)
 
 
-# Each refusal policy is written once, in its helper in hypergraph.py: work
-# past a cap in _check_cap, vertex ids outside [1..n] in _vertices.
+# Each refusal policy is written once, in its helper: work past a cap in
+# hypergraph._check_cap, vertex ids outside [1..n] in hypergraph._vertices,
+# and the number of a bad line of a text file in serialize._read_records,
+# as the "line " of the f-string "line {lineno}: ...".
 REFUSAL_PHRASES = ("exceeds the cap", "vertex range")
-REFUSAL_HELPERS = {"_check_cap", "_vertices"}
+REFUSAL_PREFIXES = ("line ",)
+REFUSAL_HELPERS = {"_check_cap", "_vertices", "_read_records"}
 
 
 def hand_written_refusals(source: str) -> list[str]:
     """String literals (f-string parts and docstrings included) that say a
-    refusal phrase outside the top-level helpers that own the phrases."""
+    refusal phrase, or start with a refusal prefix, outside the top-level
+    helpers that own them."""
     tree = ast.parse(source)
     owned = {
         id(sub)
@@ -304,7 +308,10 @@ def hand_written_refusals(source: str) -> list[str]:
         if isinstance(node, ast.Constant)
         and isinstance(node.value, str)
         and id(node) not in owned
-        and any(phrase in node.value for phrase in REFUSAL_PHRASES)
+        and (
+            any(phrase in node.value for phrase in REFUSAL_PHRASES)
+            or node.value.startswith(REFUSAL_PREFIXES)
+        )
     ]
     return [f"line {line}: {text!r}" for line, text in sorted(found)]
 
@@ -323,10 +330,18 @@ def test_the_checker_flags_only_hand_written_refusals():
         "        raise ValueError('ids leave the vertex range')\n"
         "    return _check_cap('k', k, 9)\n"
         "NOTE = 'refused past the cap; outside the range'\n"
+        "def _read_records(lines):\n"
+        "    for lineno, line in enumerate(lines, start=1):\n"
+        "        raise ValueError(f'line {lineno}: {line}')\n"
+        "def parse(lines):\n"
+        "    for lineno, line in enumerate(lines, start=1):\n"
+        "        raise ValueError(f'line {lineno}: bad record {line!r}')\n"
+        "    return _read_records(lines, 'one record per line')\n"
     )
     assert hand_written_refusals(source) == [
         "line 8: ' exceeds the cap of 9'",
         "line 10: 'ids leave the vertex range'",
+        "line 18: 'line '",
     ]
 
 

@@ -230,6 +230,30 @@ def test_sparse_graph_on_a_million_vertices_counts_without_the_index(edges):
     assert est.hits == sum(brute(sample_ordered(replay, n, k)) == 0 for _ in range(200))
 
 
+
+@pytest.mark.parametrize("n, k, level", [(10**20, 2, 1), (2**70, 9, 0), (200, 25, 3)])
+def test_ids_above_the_largest_tail_never_enter_a_mask(n, k, level):
+    """A graph whose edges all lie low in [1..n] is counted through its tail
+    index however large n is: an id above the largest tail completes no
+    edge, so it is cut from U before U's mask is made.  Counts and seeded
+    estimates agree with scanning the edge list."""
+    edges = list(itertools.combinations(range(1, 31), 2))
+    g = from_edges(n, 2, edges)
+    assert g.edge_count > comb(k, 2)
+
+    def scan(u):
+        return sum(1 for e in edges if set(e) <= set(u))
+
+    rng = new_generator(11)
+    subsets = [sample_ordered(rng, n, k) for _ in range(50)]
+    subsets += [[1, 2, 30, 31, n], [2, 3, 4, n - 1, n], [n]]
+    for u in subsets:
+        assert induced_edge_count(g, u) == scan(u), u
+    assert isinstance(g._tail_index, dict)
+    est = estimate_point(g, k, level, 200, seed=4)
+    replay = new_generator(4)
+    assert est.hits == sum(scan(sample_ordered(replay, n, k)) == level for _ in range(200))
+
 # ---------------------------------------------------------------------------
 # conditional tables
 
