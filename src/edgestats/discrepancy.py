@@ -126,14 +126,22 @@ def signed_discrepancy(
             MAX_STORED_WEIGHTS,
         )
     seq_count = perm(n, 2 * s)
-
-    # link[T][v] = d(T + {v}) for each (s - 1)-set T and each v outside it.
-    link: dict[tuple[int, ...], dict[int, int]] = {}
-    for a, d in _cover_sums(((e, 1) for e in graph.edges), s).items():
-        for i, v in enumerate(a):
-            link.setdefault(a[:i] + a[i + 1 :], {})[v] = d
     vertices = range(1, n + 1)
     bound = 2**s * n ** (r - s)
+
+    codegrees = _cover_sums(((e, 1) for e in graph.edges), s)
+    if not codegrees:  # no edges (as whenever r - s > n): every weight is 0
+        weights = (
+            tuple(SequenceWeight(seq, 0) for seq in itertools.permutations(vertices, 2 * s))
+            if collect_weights
+            else None
+        )
+        return DiscrepancyReport(n, r, s, 0, 0, seq_count, bound, weights)
+    # link[T][v] = d(T + {v}) for each (s - 1)-set T and each v outside it.
+    link: dict[tuple[int, ...], dict[int, int]] = {}
+    for a, d in codegrees.items():
+        for i, v in enumerate(a):
+            link.setdefault(a[:i] + a[i + 1 :], {})[v] = d
     total = 0
     max_weight = 0
     collected: list[SequenceWeight] = [] if collect_weights else None

@@ -2,14 +2,17 @@
 
 Edges are canonicalised to ascending vertex tuples and the edge list is
 kept globally sorted, so iteration order (and hence every downstream
-tie-break and report) is deterministic.  Values are immutable after
-construction; all operations are pure and safe to call concurrently.
+tie-break and report) is deterministic.  A graph may be born from the
+tail index that counting reads instead of its edges (the split
+construction is); its edge list is then materialised lazily, on first
+read.  Values are immutable after construction; all operations are pure
+and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -83,23 +86,47 @@ def _canonical_edge(edge: Iterable[int], n: int, r: int) -> Edge:
     return _vertices(vs, n, "edge", distinct=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
     """An r-uniform hypergraph on vertex set [1..n].
 
     ``edges`` is a sorted tuple of ascending vertex tuples.  Use
     :func:`from_edges` to build one from raw data with full validation.
+    A graph born from its tail index and edge count instead (``_edges``
+    None) materialises ``edges`` from the index on first read, in the
+    same order, and caches them.  Two graphs are equal when n, r and the
+    edges are.
     """
 
     n: int
     r: int
-    edges: tuple[Edge, ...]
-    _edge_set: frozenset[Edge] | None = field(default=None, repr=False, compare=False)
-    _tail_index: dict[Edge, int] | bool | None = field(default=None, repr=False, compare=False)
+    _edges: tuple[Edge, ...] | None = field(repr=False)
+    _tail_index: dict[Edge, int] | bool | None = field(default=None, repr=False)
+    _edge_count: int | None = field(default=None, repr=False)
+    _edge_set: frozenset[Edge] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        edges = self._edges
+        if edges is None:
+            edges = _index_edges(self._tail_index)
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        count = self._edge_count
+        return len(self._edges) if count is None else count
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Hypergraph:
+            return NotImplemented
+        return (self.n, self.r, self.edge_count) == (other.n, other.r, other.edge_count) and (
+            self.edges == other.edges
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.edges))
 
     @property
     def edge_set(self) -> frozenset[Edge]:
@@ -154,7 +181,8 @@ def _tail_index(graph: Hypergraph) -> dict[Edge, int] | None:
     last vertices of the edges that start with it.  One groupby pass over
     the sorted edges builds it; each run's largest tail is charged to the
     budget before its mask is made.  The result (an index, or False for
-    "too large") is cached on the graph like ``edge_set``.
+    "too large") is cached on the graph like ``edge_set``; a graph born
+    from its index (see construct_split) holds it from the start.
     """
     cached = graph._tail_index
     if cached is None:
@@ -166,9 +194,35 @@ def _tail_index(graph: Hypergraph) -> dict[Edge, int] | None:
             if budget < 0:
                 cached = False
                 break
-            cached[prefix] = sum(1 << e[-1] for e in run)
+            cached[prefix] = _bitmask([e[-1] for e in run])
         object.__setattr__(graph, "_tail_index", cached)
     return cached or None
+
+
+def _bitmask(ids: Sequence[int]) -> int:
+    """The mask with bit v for each v of the ascending, nonempty ``ids``,
+    in time linear in the largest id (each ``|=`` would copy the mask)."""
+    bits = bytearray(ids[-1] // 8 + 1)
+    for v in ids:
+        bits[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _index_edges(index: dict[Edge, int]) -> tuple[Edge, ...]:
+    """The sorted edge tuple that a tail index with ascending keys stands
+    for.  Each distinct mask is decoded once, into shared ints: an int
+    made per edge (ids above 256 are not cached) would cost 28 bytes more
+    per edge."""
+    ids = list(range(max(index.values(), default=0).bit_length()))
+    decoded: dict[int, list[int]] = {}
+    edges: list[Edge] = []
+    for prefix, mask in index.items():
+        run = decoded.get(mask)
+        if run is None:
+            bits = bin(mask)[:1:-1]  # bit v at position v
+            run = decoded[mask] = [ids[v] for v, bit in enumerate(bits) if bit == "1"]
+        edges += [prefix + (v,) for v in run]
+    return tuple(edges)
 
 
 def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int]:
@@ -177,14 +231,16 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
 
     Picks the cheaper exact strategy once: scan the edge list when it
     holds at most C(size, r) edges, otherwise enumerate subsets of the
-    sequence.  Enumeration reads the tail index: an edge inside U is
-    counted once, at its own prefix, by the popcount of that prefix's
+    sequence.  An edge count below 2^min(r, size - r) <= C(size, r)
+    settles the choice without the binomial, which is slow to compute for
+    a large size and r.  Enumeration reads the tail index: an edge inside
+    U is counted once, at its own prefix, by the popcount of that prefix's
     mask and U's mask, so C(size, r-1) probes replace C(size, r)
     membership tests.  Where the index would be too large (a sparse graph
     on very many vertices), it tests the r-subsets against ``edge_set``.
     """
     r = graph.r
-    if graph.edge_count <= comb(size, r):
+    if graph.edge_count.bit_length() <= min(r, size - r) or graph.edge_count <= comb(size, r):
         edges = graph.edges
 
         def count(u: Sequence[int]) -> int:
@@ -327,7 +383,9 @@ def lift_target_level(k: int, s: int, r: int) -> int:
 
 # The constructions refuse, before building anything, to draw or build
 # more than this many edges.  The paper's split graph (n = 400, 100 side
-# vertices, r = 3) has 4,485,000 edges and peaks at about 400 MiB.
+# vertices, r = 3) has 4,485,000 edges; it is born from its 29,900-entry
+# tail index, and its edge tuples, materialised lazily only if something
+# reads them, peak at about 360 MiB.
 MAX_CONSTRUCTED_EDGES = 10**7
 
 
@@ -376,7 +434,15 @@ def split_target_level(k: int, s_hits: int, r: int) -> int:
 
 def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
     """All r-sets meeting the distinguished vertex set in exactly one vertex.
-    Refuses up front to build more than MAX_CONSTRUCTED_EDGES of them."""
+    Refuses up front to build more than MAX_CONSTRUCTED_EDGES of them.
+
+    The graph is born from its tail index.  An edge is its (r-1)-prefix p
+    and a tail above p[-1] (above 0 when r = 1): a side vertex if p holds
+    no side vertex, a rest vertex if p holds one.  So p's mask is the side
+    or the rest above p[-1], and only the prefixes with a tail above them
+    are listed.  Where the index would pass the tail budget of
+    _tail_index, the edges are built instead and the index is refused.
+    """
     _check_shape(n, r)
     s = _vertices(side, n, "distinguished side")
     if r > n:
@@ -384,18 +450,44 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
     _check_cap_by_bound(
         f"{len(s)} * C({n - len(s)},{r - 1}) split edges",
         min(r - 1, n - len(s) - r + 1) if s else 0,
-        lambda: len(s) * comb(n - len(s), r - 1),
+        lambda: len(s) * comb(n - len(s), r - 1) if s else 0,
         MAX_CONSTRUCTED_EDGES,
     )
+    if not s:
+        return Hypergraph(n, r, ())
     sset = set(s)
     rest = [v for v in range(1, n + 1) if v not in sset]
-    edges = [
-        tuple(sorted((v,) + t))
-        for v in s
-        for t in itertools.combinations(rest, r - 1)
-    ]
-    edges.sort()
-    return Hypergraph(n, r, tuple(edges))
+    pools = (s, rest)
+    # Each listed prefix with the pool its tails come from: 0 for rest
+    # vertices only, all below the top side vertex; 1 for one side vertex
+    # and rest vertices, all below the top rest vertex.
+    prefixes = [(p, 0) for p in itertools.combinations(rest[: bisect_left(rest, s[-1])], r - 1)]
+    if rest and r > 1:
+        below = rest[:-1]
+        for v in s[: bisect_left(s, rest[-1])]:
+            for t in itertools.combinations(below, r - 2):
+                i = bisect_left(t, v)
+                prefixes.append((t[:i] + (v,) + t[i:], 1))
+    prefixes.sort()
+
+    def tails(p: Edge, kind: int) -> Sequence[int]:
+        pool = pools[kind]
+        return pool[bisect_right(pool, p[-1]) if p else 0 :]
+
+    edge_count = len(s) * comb(len(rest), r - 1)
+    # A prefix's largest tail is the top vertex of its pool.
+    if sum(pools[kind][-1] for _, kind in prefixes) > _TAIL_BITS_PER_EDGE * edge_count:
+        edges = tuple(p + (v,) for p, kind in prefixes for v in tails(p, kind))
+        return Hypergraph(n, r, edges, False)
+    # Prefixes from one pool that end at the same vertex share one mask.
+    masks: dict[tuple[int, Edge], int] = {}
+    index: dict[Edge, int] = {}
+    for p, kind in prefixes:
+        key = (kind, p[-1:])
+        if key not in masks:
+            masks[key] = _bitmask(tails(p, kind))
+        index[p] = masks[key]
+    return Hypergraph(n, r, None, index, edge_count)
 
 
 def random_hypergraph(n: int, r: int, p: Fraction | int, seed_or_rng) -> Hypergraph:

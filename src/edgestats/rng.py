@@ -7,7 +7,7 @@ protocol, so identical seeds reproduce identical outputs bit for bit on
 any platform:
 
 * ``rand_below(rng, n)``   -- rejection sampling on ``getrandbits(n.bit_length())``
-* ``sample_ordered``       -- partial Fisher-Yates using ``rand_below``,
+* ``sample_ordered``       -- partial Fisher-Yates drawing as ``rand_below`` does,
   kept sparse: only the swapped positions are stored, so a draw of k
   vertices from [1..n] costs O(k), not O(n)
 * ``bernoulli``            -- exact rational coin: ``rand_below(den) < num``
@@ -47,18 +47,25 @@ def sample_ordered(rng: random.Random, n: int, k: int) -> list[int]:
 
     Partial Fisher-Yates (Durstenfeld's shuffle) on the pool 1..n:
     position i swaps with j = i + rand_below(n - i) and then holds the
-    i-th output.  The pool is never built; ``moved`` holds the value of
-    each position that a swap has changed, and every other position j
-    still holds j + 1.  The returned order is part of the draw protocol
+    i-th output (the rejection loop of ``rand_below`` is inlined, with the
+    same ``getrandbits`` calls).  The pool is never built; ``moved`` holds
+    the value of each position that a swap has changed, and every other
+    position j still holds j + 1.  The returned order is part of the draw protocol
     (couplings consume it pairwise), so callers that need a set must
     discard it themselves.
     """
     if not 0 <= k <= n:
         raise ValueError(f"cannot sample {k} distinct vertices from [1..{n}]")
+    getrandbits = rng.getrandbits
     moved: dict[int, int] = {}
     out: list[int] = []
     for i in range(k):
-        j = i + rand_below(rng, n - i)
+        m = n - i
+        bits = m.bit_length()
+        x = getrandbits(bits)
+        while x >= m:
+            x = getrandbits(bits)
+        j = i + x
         out.append(moved.get(j, j + 1))
         moved[j] = moved.get(i, i + 1)
     return out

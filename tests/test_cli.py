@@ -555,6 +555,7 @@ def sweep_inputs(tmp_path):
         "c5": "5 2\n1 2\n2 3\n3 4\n4 5\n1 5\n",
         "empty": "0 1\n",
         "r_above_n": "2 3\n",
+        "r_far_above_n": "40 60\n",
         "star": f"{leaves + 1} 2\n" + "".join(f"1 {v}\n" for v in range(2, leaves + 2)),
         "poly": "2\n1 : 1 2\n",
         "wide": "30\n" + "".join(f"1 : {v}\n" for v in range(1, 31)),
@@ -611,6 +612,8 @@ EDGE_CASES = [
     "discrepancy --input {r_above_n} --s 1",
     "cover run --input {r_above_n} --m 1",
     "construct split --n 2 --side 1 --r 3 --out {out}",
+    # r - s above n: no co-degree, so no walk over the 40!/22! prefixes
+    "discrepancy --input {r_far_above_n} --s 10",
     # an unwritable --out: the path is a directory
     "construct split --n 4 --side 1 --r 2 --out {dir}",
     # a search deeper than the recursion limit

@@ -67,6 +67,23 @@ def test_complete_and_empty_graphs_have_zero_discrepancy():
                 assert signed_discrepancy(empty, s).total == 0
 
 
+@pytest.mark.parametrize("n, r, s", [(4, 2, 1), (5, 3, 2), (5, 7, 2), (6, 3, 3)])
+def test_an_edgeless_graph_lists_every_sequence_with_weight_zero(n, r, s):
+    report = signed_discrepancy(from_edges(n, r, []), s, collect_weights=True)
+    assert (report.total, report.max_weight) == (0, 0)
+    assert report.sequences_checked == perm(n, 2 * s)
+    assert report.per_sequence_bound == 2**s * n ** (r - s)
+    assert [(w.sequence, w.weight) for w in report.weights] == list(brute_weights(from_edges(n, r, []), s))
+
+
+def test_an_edgeless_graph_skips_the_prefix_walk():
+    """r - s > n leaves no compatible r-set, so the term cap passes; the
+    40!/22! prefixes are not walked."""
+    report = signed_discrepancy(from_edges(40, 60, []), 10)
+    assert (report.total, report.max_weight) == (0, 0)
+    assert report.sequences_checked == perm(40, 20)
+
+
 @given(st.integers(0, 2**30))
 @settings(max_examples=25, deadline=None)
 def test_matches_brute_force(seed):

@@ -4,6 +4,7 @@ two named constructions, and the .hg text format."""
 import itertools
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestats.hypergraph import (
+    _tail_index,
     construct_lift,
     construct_split,
     format_hg,
@@ -263,6 +265,85 @@ def test_split_edges_meet_side_exactly_once():
         if len(set(w) & side) == 1
     )
     assert g.edge_count == expected
+
+
+def split_oracle(n, side, r):
+    """The split graph's edges as a comprehension over the side vertices
+    and the (r-1)-sets of the rest, sorted: the reference for the
+    construction, which emits its tail index instead."""
+    rest = [v for v in range(1, n + 1) if v not in set(side)]
+    return sorted(tuple(sorted((v,) + t)) for v in set(side) for t in itertools.combinations(rest, r - 1))
+
+
+def assert_split_matches_oracle(n, side, r):
+    oracle = split_oracle(n, side, r)
+    reference = from_edges(n, r, oracle)
+    g = construct_split(n, side, r)
+    assert g.edge_count == len(oracle)
+    index = _tail_index(g)
+    assert index == _tail_index(reference)
+    assert index is None or list(index) == sorted(index)
+    assert g.edges == tuple(oracle)
+    assert g == reference and hash(g) == hash(reference)
+
+
+@pytest.mark.parametrize(
+    "n, side, r",
+    [
+        (6, [2, 5], 1),
+        (9, [1, 4, 9], 2),
+        (8, [], 3),
+        (7, range(1, 8), 1),
+        (7, range(1, 8), 2),
+        (7, range(1, 8), 3),
+        (9, [9], 4),
+        (9, [1], 4),
+        (12, [2, 3, 5, 11], 3),
+        (8, [4], 8),
+        (40, range(1, 11), 3),
+    ],
+)
+def test_split_graph_is_born_from_the_index_its_edges_give(n, side, r):
+    """The emitted index is the one _tail_index builds from the oracle's
+    edges, and the edges materialised from it are the oracle's."""
+    assert_split_matches_oracle(n, side, r)
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=40, deadline=None)
+def test_split_graph_matches_the_oracle_on_random_shapes(seed):
+    rng = new_generator(seed)
+    n = 1 + rand_below(rng, 12)
+    r = 1 + rand_below(rng, n)
+    side = [v for v in range(1, n + 1) if rand_below(rng, 3) == 0]
+    assert_split_matches_oracle(n, side, r)
+
+
+def test_split_graph_born_from_its_index_materialises_edges_only_when_read():
+    g = construct_split(30, range(1, 6), 3)
+    assert g._edges is None and isinstance(g._tail_index, dict)
+    assert g.edge_count == 5 * 300
+    assert g.edges is g.edges
+    assert repr(g) == "Hypergraph(n=30, r=3)"
+
+
+def test_split_graph_past_the_tail_budget_keeps_its_edges_and_no_index():
+    """Each of the 4,999 prefixes (v,) would need a 5000-bit mask for the
+    tail 5000: past the budget, so the edges are built instead and no mask
+    is made.  Counting then probes the edge set."""
+    n = 5000
+    tracemalloc.start()
+    try:
+        g = construct_split(n, [n], 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 8 // 2  # half of the masks' n^2 bits
+    assert _tail_index(g) is None
+    assert g.edges == tuple((v, n) for v in range(1, n))
+    assert g == from_edges(n, 2, split_oracle(n, [n], 2))
+    assert induced_edge_count(g, [1, 2, 3, n - 1, n]) == 4
+    assert g._tail_index is False
 
 
 @pytest.mark.parametrize("side, r", [((), 0), ((), -3), ((1, 2), 0), ((1,), -1)])

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgestats.hypergraph import from_edges, induced_edge_count, random_hypergraph
+from edgestats import hypergraph
+from edgestats.hypergraph import construct_split, from_edges, induced_edge_count, random_hypergraph
 from edgestats.profiles import JuntaEntry, conditional_junta, estimate_point, exact_profile
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
@@ -253,6 +254,42 @@ def test_ids_above_the_largest_tail_never_enter_a_mask(n, k, level):
     est = estimate_point(g, k, level, 200, seed=4)
     replay = new_generator(4)
     assert est.hits == sum(scan(sample_ordered(replay, n, k)) == level for _ in range(200))
+
+
+def test_the_strategy_choice_skips_a_binomial_the_edge_count_is_below(monkeypatch):
+    """An edge count below 2^min(r, size - r) picks the edge scan without
+    C(size, r), which takes seconds at size 500,000 and r = 250,000."""
+    g = from_edges(10**6, 250000, [range(1, 250001), range(2, 250002)])
+
+    def refuse(*args):
+        raise AssertionError(f"comb{args} was computed")
+
+    monkeypatch.setattr(hypergraph, "comb", refuse)
+    assert induced_edge_count(g, range(1, 500001)) == 2
+    assert induced_edge_count(g, range(2, 500002)) == 1
+    assert g._tail_index is None
+
+
+@pytest.mark.parametrize("n, side, k", [(9, [2, 5, 6], 5), (10, [1, 10], 4), (8, range(1, 9), 3)])
+def test_an_index_born_split_graph_counts_as_its_edge_list(n, side, k):
+    rest = [v for v in range(1, n + 1) if v not in set(side)]
+    oracle = from_edges(n, 3, [(v, *t) for v in side for t in itertools.combinations(rest, 2)])
+    g = construct_split(n, side, 3)
+    assert dict(exact_profile(g, k).counts) == dict(exact_profile(oracle, k).counts)
+    assert estimate_point(g, k, 2, 300, seed=8) == estimate_point(oracle, k, 2, 300, seed=8)
+
+
+def test_estimating_on_a_split_graph_leaves_its_edge_tuples_unbuilt():
+    """Counting reads only the tail index the split construction emits:
+    neither the edge tuples nor the edge set are ever built."""
+    g = construct_split(60, range(1, 16), 3)
+    est = estimate_point(g, 8, 30, 2000, seed=6)
+    assert g._edges is None
+    assert g._edge_set is None
+    rest = range(16, 61)
+    oracle = from_edges(60, 3, [(v, *t) for v in range(1, 16) for t in itertools.combinations(rest, 2)])
+    assert est == estimate_point(oracle, 8, 30, 2000, seed=6)
+
 
 # ---------------------------------------------------------------------------
 # conditional tables
