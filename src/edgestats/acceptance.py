@@ -342,7 +342,8 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     """Every sign-expansion coefficient from the criterion-1 battery obeys
-    the size bound q 2^|I| n^(d-|I|) and vanishes beyond the degree."""
+    the size bound q 2^|I| n^(d-|I|), at q = 1 as an edge indicator's
+    coefficients are 1, and vanishes beyond the degree."""
     battery = _coupling_battery()
     failures = 0
     checked = 0
@@ -352,7 +353,7 @@ def criterion_11() -> CriterionResult:
             for idx in itertools.combinations(range(1, k + 1), size):
                 a = report.coefficients.get(idx, Fraction(0))
                 checked += 1
-                if abs(a) > coefficient_bound(1, d, n, size):
+                if abs(a) > coefficient_bound(d, n, size):
                     failures += 1
                 if size > d and a != 0:
                     failures += 1

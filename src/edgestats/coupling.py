@@ -183,9 +183,9 @@ def check_sign_expansion(poly: MultilinearPoly, pairs: Sequence[Pair]) -> SignEx
     return SignExpansionReport(k, table, worst, 2**k)
 
 
-def coefficient_bound(q: Fraction | int, d: int, n: int, index_size: int) -> Fraction:
-    """Size bound q * 2^|I| * n^(d - |I|) for a sign-expansion coefficient
-    of a degree-<=d polynomial with coefficients bounded by q."""
+def coefficient_bound(d: int, n: int, index_size: int) -> Fraction:
+    """Size bound 2^|I| * n^(d - |I|) for a sign-expansion coefficient of a
+    degree-<=d polynomial with coefficients bounded by 1."""
     if index_size > d:
         return Fraction(0)
-    return Fraction(q) * 2**index_size * Fraction(n) ** (d - index_size)
+    return Fraction(2**index_size * n ** (d - index_size))

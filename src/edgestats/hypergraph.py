@@ -5,8 +5,12 @@ kept globally sorted, so iteration order (and hence every downstream
 tie-break and report) is deterministic.  A graph may be born from the
 tail index that counting reads instead of its edges (the split
 construction is); its edge list is then materialised lazily, on first
-read.  Values are immutable after construction; all operations are pure
-and safe to call concurrently.
+read.  A constructed graph may also carry a symmetric side D: every
+permutation of [1..n] mapping D to itself is an automorphism, so the
+edge count inside a vertex set U depends only on |U cap D|, and counting
+looks each sample up by that overlap instead of probing the graph.
+Values are immutable after construction; all operations are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .rng import bernoulli, new_generator
 from .serialize import _read_records
@@ -94,8 +98,10 @@ class Hypergraph:
     :func:`from_edges` to build one from raw data with full validation.
     A graph born from its tail index and edge count instead (``_edges``
     None) materialises ``edges`` from the index on first read, in the
-    same order, and caches them.  Two graphs are equal when n, r and the
-    edges are.
+    same order, and caches them.  ``_side``, set only by the split and
+    s = 1 lift constructions, is a vertex set D such that every
+    permutation of [1..n] mapping D to itself maps the edges to
+    themselves.  Two graphs are equal when n, r and the edges are.
     """
 
     n: int
@@ -103,6 +109,7 @@ class Hypergraph:
     _edges: tuple[Edge, ...] | None = field(repr=False)
     _tail_index: dict[Edge, int] | bool | None = field(default=None, repr=False)
     _edge_count: int | None = field(default=None, repr=False)
+    _side: frozenset[int] | None = field(default=None, repr=False)
     _edge_set: frozenset[Edge] | None = field(default=None, init=False, repr=False)
 
     @property
@@ -238,6 +245,13 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
     mask and U's mask, so C(size, r-1) probes replace C(size, r)
     membership tests.  Where the index would be too large (a sparse graph
     on very many vertices), it tests the r-subsets against ``edge_set``.
+
+    A graph with a symmetric side D wraps that strategy in a table keyed
+    by j = |U cap D|.  A permutation mapping D to itself maps U onto the
+    first j vertices of D and the first size - j outside it, and maps the
+    edges to themselves, so both sets induce the same count.  Each entry
+    is counted once, on first use, at that representative, so a run
+    makes at most size + 1 counts by the strategy above.
     """
     r = graph.r
     if graph.edge_count.bit_length() <= min(r, size - r) or graph.edge_count <= comb(size, r):
@@ -247,33 +261,43 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
             uset = frozenset(u)
             return sum(1 for e in edges if uset.issuperset(e))
 
-        return count
-
-    index = _tail_index(graph)
-    if index is None:
+    elif (index := _tail_index(graph)) is None:
         members = graph.edge_set
 
         def count(u: Sequence[int]) -> int:
             return sum(1 for w in itertools.combinations(u, r) if w in members)
 
+    else:
+        tail_mask = index.get
+        top = max(index.values()).bit_length() - 1
+
+        def count(u: Sequence[int]) -> int:
+            # An edge inside U ends at a tail of at most ``top``, so U is cut
+            # there before its mask is made: the ids above would only widen
+            # the mask, up to 2^n bits on a graph with a huge n.
+            u = u[: bisect_right(u, top)]
+            mask = 0
+            for v in u:
+                mask |= 1 << v
+            return sum(
+                (tail_mask(p, 0) & mask).bit_count() for p in itertools.combinations(u, r - 1)
+            )
+
+    side = graph._side
+    if side is None:
         return count
+    inside = sorted(side)
+    outside = list(itertools.islice((v for v in range(1, graph.n + 1) if v not in side), size))
+    table: list[int | None] = [None] * (size + 1)
 
-    tail_mask = index.get
-    top = max(index.values()).bit_length() - 1
+    def count_by_overlap(u: Sequence[int]) -> int:
+        j = len(side.intersection(u))
+        c = table[j]
+        if c is None:
+            c = table[j] = count(sorted(inside[:j] + outside[: size - j]))
+        return c
 
-    def count(u: Sequence[int]) -> int:
-        # An edge inside U ends at a tail of at most ``top``, so U is cut
-        # there before its mask is made: the ids above would only widen
-        # the mask, up to 2^n bits on a graph with a huge n.
-        u = u[: bisect_right(u, top)]
-        mask = 0
-        for v in u:
-            mask |= 1 << v
-        return sum(
-            (tail_mask(p, 0) & mask).bit_count() for p in itertools.combinations(u, r - 1)
-        )
-
-    return count
+    return count_by_overlap
 
 
 def _trace_groups(graph: Hypergraph, y: frozenset[int]) -> dict[Edge, set[frozenset[int]]]:
@@ -389,18 +413,24 @@ def lift_target_level(k: int, s: int, r: int) -> int:
 MAX_CONSTRUCTED_EDGES = 10**7
 
 
+def _check_supersets(base_edges: int, n: int, s: int, r: int) -> None:
+    """Refuse ``base_edges`` s-sets on [1..n] whose r-supersets would pass
+    MAX_CONSTRUCTED_EDGES."""
+    _check_cap_by_bound(
+        f"{base_edges} base edges times C({n - s},{r - s}) supersets",
+        min(r - s, n - r),
+        lambda: base_edges * comb(n - s, r - s),
+        MAX_CONSTRUCTED_EDGES,
+    )
+
+
 def lift_supersets(base: Hypergraph, r: int) -> Hypergraph:
     """All r-sets of [1..n] containing at least one edge of ``base``."""
     if r < base.r:
         raise ValueError(f"lift uniformity {r} is below the base uniformity {base.r}")
     n = base.n
     if base.edges:  # then n >= base.r, as every edge lies in [1..n]
-        _check_cap_by_bound(
-            f"{base.edge_count} base edges times C({n - base.r},{r - base.r}) supersets",
-            min(r - base.r, n - r),
-            lambda: base.edge_count * comb(n - base.r, r - base.r),
-            MAX_CONSTRUCTED_EDGES,
-        )
+        _check_supersets(base.edge_count, n, base.r, r)
     out: set[Edge] = set()
     for f in base.edges:
         fset = set(f)
@@ -413,17 +443,30 @@ def lift_supersets(base: Hypergraph, r: int) -> Hypergraph:
 def construct_lift(n: int, k: int, s: int, r: int, seed: int) -> LiftConstruction:
     """Seeded lift: the base is random_hypergraph(n, s, 1/C(k,s), seed),
     each s-set decided by one exact Bernoulli draw in lexicographic order;
-    the lift takes all r-sets covering a base edge.
-    Refuses more than MAX_CONSTRUCTED_EDGES draws, or base edges times
-    supersets per base edge, before making them.
+    the lift takes all r-sets covering a base edge.  At s = 1 the lift
+    carries the base vertices as its symmetric side (see Hypergraph).
+    Refuses more than MAX_CONSTRUCTED_EDGES draws before making them, and
+    refuses while drawing as soon as the base edges so far times
+    C(n-s, r-s) pass that cap.
     """
     if not 1 <= s <= r <= k <= n:
         raise ValueError(f"need 1 <= s <= r <= k <= n, got s={s}, r={r}, k={k}, n={n}")
     _check_cap_by_bound(
         f"C({n},{s}) base draws", min(s, n - s), lambda: comb(n, s), MAX_CONSTRUCTED_EDGES
     )
-    base = random_hypergraph(n, s, Fraction(1, comb(k, s)), seed)
-    return LiftConstruction(lift_supersets(base, r), base, lift_target_level(k, s, r))
+    # The most base edges whose supersets stay within the cap; C(n-s, r-s)
+    # is at least 2^min(r-s, n-r), so past 2^64 none are.
+    most = 0 if min(r - s, n - r) >= 64 else MAX_CONSTRUCTED_EDGES // comb(n - s, r - s)
+    base_edges: list[Edge] = []
+    for e in _coin_edges(n, s, Fraction(1, comb(k, s)), new_generator(seed)):
+        if len(base_edges) == most:
+            _check_supersets(most + 1, n, s, r)
+        base_edges.append(e)
+    base = Hypergraph(n, s, tuple(base_edges))
+    graph = lift_supersets(base, r)
+    if s == 1:
+        graph = Hypergraph(n, r, graph.edges, _side=frozenset(v for (v,) in base_edges))
+    return LiftConstruction(graph, base, lift_target_level(k, s, r))
 
 
 def split_target_level(k: int, s_hits: int, r: int) -> int:
@@ -436,9 +479,10 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
     """All r-sets meeting the distinguished vertex set in exactly one vertex.
     Refuses up front to build more than MAX_CONSTRUCTED_EDGES of them.
 
-    The graph is born from its tail index.  An edge is its (r-1)-prefix p
-    and a tail above p[-1] (above 0 when r = 1): a side vertex if p holds
-    no side vertex, a rest vertex if p holds one.  So p's mask is the side
+    The graph carries the side as its symmetric side (see Hypergraph).
+    For r >= 2 it is born from its tail index.  An edge is its
+    (r-1)-prefix p and a tail above p[-1]: a side vertex if p holds no
+    side vertex, a rest vertex if p holds one.  So p's mask is the side
     or the rest above p[-1], and only the prefixes with a tail above them
     are listed.  Where the index would pass the tail budget of
     _tail_index, the edges are built instead and the index is refused.
@@ -453,16 +497,17 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
         lambda: len(s) * comb(n - len(s), r - 1) if s else 0,
         MAX_CONSTRUCTED_EDGES,
     )
-    if not s:
-        return Hypergraph(n, r, ())
-    sset = set(s)
+    sset = frozenset(s)
+    if r == 1 or not s:
+        # The side's singletons, or no edges: the rest is never read.
+        return Hypergraph(n, r, tuple((v,) for v in s) if r == 1 else (), _side=sset)
     rest = [v for v in range(1, n + 1) if v not in sset]
     pools = (s, rest)
     # Each listed prefix with the pool its tails come from: 0 for rest
     # vertices only, all below the top side vertex; 1 for one side vertex
     # and rest vertices, all below the top rest vertex.
     prefixes = [(p, 0) for p in itertools.combinations(rest[: bisect_left(rest, s[-1])], r - 1)]
-    if rest and r > 1:
+    if rest:
         below = rest[:-1]
         for v in s[: bisect_left(s, rest[-1])]:
             for t in itertools.combinations(below, r - 2):
@@ -472,13 +517,13 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
 
     def tails(p: Edge, kind: int) -> Sequence[int]:
         pool = pools[kind]
-        return pool[bisect_right(pool, p[-1]) if p else 0 :]
+        return pool[bisect_right(pool, p[-1]) :]
 
     edge_count = len(s) * comb(len(rest), r - 1)
     # A prefix's largest tail is the top vertex of its pool.
     if sum(pools[kind][-1] for _, kind in prefixes) > _TAIL_BITS_PER_EDGE * edge_count:
         edges = tuple(p + (v,) for p, kind in prefixes for v in tails(p, kind))
-        return Hypergraph(n, r, edges, False)
+        return Hypergraph(n, r, edges, False, _side=sset)
     # Prefixes from one pool that end at the same vertex share one mask.
     masks: dict[tuple[int, Edge], int] = {}
     index: dict[Edge, int] = {}
@@ -487,7 +532,7 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
         if key not in masks:
             masks[key] = _bitmask(tails(p, kind))
         index[p] = masks[key]
-    return Hypergraph(n, r, None, index, edge_count)
+    return Hypergraph(n, r, None, index, edge_count, sset)
 
 
 def random_hypergraph(n: int, r: int, p: Fraction | int, seed_or_rng) -> Hypergraph:
@@ -496,11 +541,18 @@ def random_hypergraph(n: int, r: int, p: Fraction | int, seed_or_rng) -> Hypergr
     refuses n < 0 and r < 1 as from_edges does."""
     _check_shape(n, r)
     rng = seed_or_rng if hasattr(seed_or_rng, "getrandbits") else new_generator(seed_or_rng)
-    p = Fraction(p)
-    edges = [
-        w for w in itertools.combinations(range(1, n + 1), r) if bernoulli(rng, p)
-    ]
+    # Listed first: tuple() over the generator grows its tuple by
+    # reallocation, which left the peak RSS of a run over 2000 small
+    # random graphs about 1 MiB higher.
+    edges = list(_coin_edges(n, r, Fraction(p), rng))
     return Hypergraph(n, r, tuple(edges))
+
+
+def _coin_edges(n: int, r: int, p: Fraction, rng) -> Iterator[Edge]:
+    """The r-sets of [1..n] kept by one exact Bernoulli(p) coin each, drawn
+    in lexicographic order: the one draw order of random_hypergraph and
+    of the lift's base."""
+    return (w for w in itertools.combinations(range(1, n + 1), r) if bernoulli(rng, p))
 
 
 # ---------------------------------------------------------------------------

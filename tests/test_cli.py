@@ -612,6 +612,8 @@ EDGE_CASES = [
     "discrepancy --input {r_above_n} --s 1",
     "cover run --input {r_above_n} --m 1",
     "construct split --n 2 --side 1 --r 3 --out {out}",
+    # r = 1 on a huge ground set: the side's singletons, no list of the rest
+    "construct split --n 1000000000000 --side 1,5 --r 1 --out {out}",
     # r - s above n: no co-degree, so no walk over the 40!/22! prefixes
     "discrepancy --input {r_far_above_n} --s 10",
     # an unwritable --out: the path is a directory

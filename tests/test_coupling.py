@@ -241,10 +241,9 @@ def test_a_wrong_expansion_table_is_caught(monkeypatch, index, delta):
 
 
 def test_coefficient_bound_values():
-    assert coefficient_bound(1, 2, 5, 0) == 25
-    assert coefficient_bound(1, 2, 5, 1) == 10
-    assert coefficient_bound(Fraction(1, 2), 2, 5, 2) == 2
-    assert coefficient_bound(1, 2, 5, 3) == 0  # indices above the degree
+    assert coefficient_bound(2, 5, 0) == 25
+    assert coefficient_bound(2, 5, 1) == 10
+    assert coefficient_bound(2, 5, 3) == 0  # indices above the degree
 
 
 def test_expansion_coefficients_obey_the_size_bound():
@@ -259,7 +258,7 @@ def test_expansion_coefficients_obey_the_size_bound():
         pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(k)]
         table = sign_expansion_table(poly, pairs)
         for idx, coeff in table.items():
-            assert abs(coeff) <= coefficient_bound(1, poly.degree, n, len(idx))
+            assert abs(coeff) <= coefficient_bound(poly.degree, n, len(idx))
 
 
 # ---------------------------------------------------------------------------

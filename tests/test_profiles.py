@@ -3,6 +3,7 @@ exact conditional-expectation tables."""
 
 import itertools
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -12,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestats import hypergraph
-from edgestats.hypergraph import construct_split, from_edges, induced_edge_count, random_hypergraph
+from edgestats.hypergraph import (
+    _edge_counter,
+    construct_lift,
+    construct_split,
+    from_edges,
+    induced_edge_count,
+    random_hypergraph,
+    split_target_level,
+)
 from edgestats.profiles import JuntaEntry, conditional_junta, estimate_point, exact_profile
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
@@ -289,6 +298,99 @@ def test_estimating_on_a_split_graph_leaves_its_edge_tuples_unbuilt():
     rest = range(16, 61)
     oracle = from_edges(60, 3, [(v, *t) for v in range(1, 16) for t in itertools.combinations(rest, 2)])
     assert est == estimate_point(oracle, 8, 30, 2000, seed=6)
+
+
+# ---------------------------------------------------------------------------
+# graphs with a symmetric side: counts looked up by |U cap D|
+
+
+def lift_level(k, j, r):
+    return comb(k, r) - comb(k - j, r)
+
+
+def assert_side_counts_match_a_plain_copy(g, side, level_of):
+    """Every k from 0 to n: the profile and seeded hits of ``g`` equal those
+    of a copy without a side, and the count at each overlap j is the closed
+    form, read at a subset other than the one the table is filled at."""
+    assert g._side == frozenset(side)
+    plain = from_edges(g.n, g.r, g.edges)
+    assert plain._side is None
+    inside = sorted(side)
+    outside = [v for v in range(1, g.n + 1) if v not in g._side]
+    for k in range(g.n + 1):
+        profile = exact_profile(g, k)
+        assert profile == exact_profile(plain, k), k
+        for level in profile.counts:
+            assert estimate_point(g, k, level, 40, seed=k) == estimate_point(plain, k, level, 40, seed=k)
+        count = _edge_counter(g, k)
+        for j in range(max(0, k - len(outside)), min(k, len(inside)) + 1):
+            u = sorted(inside[len(inside) - j :] + outside[len(outside) - (k - j) :])
+            want = level_of(k, j, g.r)
+            assert count(u) == induced_edge_count(plain, u) == want, (k, j)
+
+
+def lift_with_an_empty_base(n, k, r):
+    return next(b for seed in itertools.count() if not (b := construct_lift(n, k, 1, r, seed)).base.edges)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: (construct_split(6, [], 2), []),
+        lambda: (construct_split(5, range(1, 6), 1), range(1, 6)),
+        lambda: (construct_split(5, range(1, 6), 2), range(1, 6)),
+        lambda: (construct_split(1, [1], 1), [1]),
+        lambda: (construct_split(7, [4], 7), [4]),
+    ],
+)
+def test_a_split_graph_counts_by_its_side_overlap(build):
+    g, side = build()
+    assert_side_counts_match_a_plain_copy(g, side, split_target_level)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct_lift(6, 1, 1, 1, 0),  # p = 1: every vertex is a base vertex
+        lambda: lift_with_an_empty_base(5, 4, 2),
+        lambda: construct_lift(7, 3, 1, 3, 2),
+    ],
+)
+def test_an_s1_lift_counts_by_its_base_vertices(build):
+    built = build()
+    side = [v for (v,) in built.base.edges]
+    assert_side_counts_match_a_plain_copy(built.graph, side, lift_level)
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_side_counts_match_a_plain_copy_on_random_shapes(seed):
+    rng = new_generator(seed)
+    n = 1 + rand_below(rng, 7)
+    r = 1 + rand_below(rng, n)
+    if rand_below(rng, 2):
+        side = [v for v in range(1, n + 1) if rand_below(rng, 2)]
+        assert_side_counts_match_a_plain_copy(construct_split(n, side, r), side, split_target_level)
+    else:
+        built = construct_lift(n, r + rand_below(rng, n - r + 1), 1, r, seed)
+        side = [v for (v,) in built.base.edges]
+        assert_side_counts_match_a_plain_copy(built.graph, side, lift_level)
+
+
+def test_a_side_profile_makes_one_probe_count_per_overlap(monkeypatch):
+    """The 15,504 subsets of a profile share k + 1 = 6 overlaps, so the
+    tail-index strategy (one bisect per count) runs at most 6 times."""
+    g = construct_split(20, range(1, 6), 3)
+    want = exact_profile(from_edges(20, 3, g.edges), 5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bisect_right(*args)
+
+    monkeypatch.setattr(hypergraph, "bisect_right", counted)
+    assert exact_profile(g, 5) == want
+    assert 1 <= len(calls) <= 6
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from edgestats.hypergraph import (
 )
 from edgestats.multilinear import MultilinearPoly, exhaustive_distribution
 from edgestats.profiles import conditional_junta, exact_profile
+from edgestats.rng import bernoulli
 
 
 class Forbidden:
@@ -58,7 +59,7 @@ CAPS = {
     "construct_lift": (
         lambda: construct_lift(5000, 10, 2, 3, 0),
         "C(5000,2) base draws = 12497500 exceeds the cap of 10000000",
-        (hypergraph, "random_hypergraph"),
+        (hypergraph, "_coin_edges"),
     ),
     "construct_split": (
         lambda: construct_split(3000, [1, 2], 4),
@@ -147,6 +148,25 @@ def test_a_count_past_two_to_the_64_is_shown_by_its_bit_length():
     assert str(info.value) == (
         "2^15000 pivot subset checks = at least 2^15000 exceeds the cap of 33554432"
     )
+
+
+def test_a_lift_refuses_while_its_base_is_drawn(monkeypatch):
+    """At n = 100000, k = 2, s = 1, r = 2 each base vertex has 99,999
+    supersets, so the 101st base edge passes the cap: the lift refuses
+    there, with the base drawn so far, not after all C(n, 1) coins."""
+    coins = []
+
+    def counted(rng, p):
+        coins.append(p)
+        return bernoulli(rng, p)
+
+    monkeypatch.setattr(hypergraph, "bernoulli", counted)
+    with pytest.raises(ValueError) as info:
+        construct_lift(100000, 2, 1, 2, 0)
+    assert str(info.value) == (
+        "101 base edges times C(99999,1) supersets = 10099899 exceeds the cap of 10000000"
+    )
+    assert 101 <= len(coins) < 1000
 
 
 # id -> (the refused call, its whole message)
