@@ -2,13 +2,12 @@
 
 Edges are canonicalised to ascending vertex tuples and the edge list is
 kept globally sorted, so iteration order (and hence every downstream
-tie-break and report) is deterministic.  A graph may be born from the
-tail index that counting reads instead of its edges (the split
-construction is); its edge list is then materialised lazily, on first
-read.  A constructed graph may also carry a symmetric side D: every
-permutation of [1..n] mapping D to itself is an automorphism, so the
-edge count inside a vertex set U depends only on |U cap D|, and counting
-looks each sample up by that overlap instead of probing the graph.
+tie-break and report) is deterministic.  The two constructions are each
+fixed by every permutation of [1..n] that maps a side D to itself, so
+each is stored as D and the set A of overlaps |e cap D| its edges have:
+its edges are exactly the r-sets whose overlap with D lies in A.  Its
+edge count, and the edge count inside a vertex set U, are closed forms
+in |D| and |U cap D|; its edge list is built from (D, A) only when read.
 Values are immutable after construction; all operations are pure and
 safe to call concurrently.
 """
@@ -90,40 +89,44 @@ def _canonical_edge(edge: Iterable[int], n: int, r: int) -> Edge:
     return _vertices(vs, n, "edge", distinct=True)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Hypergraph:
     """An r-uniform hypergraph on vertex set [1..n].
 
     ``edges`` is a sorted tuple of ascending vertex tuples.  Use
     :func:`from_edges` to build one from raw data with full validation.
-    A graph born from its tail index and edge count instead (``_edges``
-    None) materialises ``edges`` from the index on first read, in the
-    same order, and caches them.  ``_side``, set only by the split and
-    s = 1 lift constructions, is a vertex set D such that every
-    permutation of [1..n] mapping D to itself maps the edges to
-    themselves.  Two graphs are equal when n, r and the edges are.
+    The split and s = 1 lift constructions give a side ``_side`` = D and
+    its edge types ``_types`` = A (ascending overlaps with D) in place of
+    the edges (``_edges`` None): the edges are the r-sets e with
+    |e cap D| in A, built on first read and cached.  Two graphs are equal
+    when n, r and the edges are.
     """
 
     n: int
     r: int
     _edges: tuple[Edge, ...] | None = field(repr=False)
-    _tail_index: dict[Edge, int] | bool | None = field(default=None, repr=False)
-    _edge_count: int | None = field(default=None, repr=False)
     _side: frozenset[int] | None = field(default=None, repr=False)
+    _types: tuple[int, ...] | None = field(default=None, repr=False)
+    _tail_index: dict[Edge, int] | bool | None = field(default=None, init=False, repr=False)
     _edge_set: frozenset[Edge] | None = field(default=None, init=False, repr=False)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         edges = self._edges
         if edges is None:
-            edges = _index_edges(self._tail_index)
+            built: list[Edge] = []
+            for p, tails in _side_runs(self.n, self.r, self._side, self._types):
+                built += [p + (v,) for v in tails]
+            edges = tuple(built)
             object.__setattr__(self, "_edges", edges)
         return edges
 
     @property
     def edge_count(self) -> int:
-        count = self._edge_count
-        return len(self._edges) if count is None else count
+        if self._edges is not None:
+            return len(self._edges)
+        d = len(self._side)
+        return _typed_count(self._types, d, self.n - d, self.r)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Hypergraph:
@@ -188,8 +191,7 @@ def _tail_index(graph: Hypergraph) -> dict[Edge, int] | None:
     last vertices of the edges that start with it.  One groupby pass over
     the sorted edges builds it; each run's largest tail is charged to the
     budget before its mask is made.  The result (an index, or False for
-    "too large") is cached on the graph like ``edge_set``; a graph born
-    from its index (see construct_split) holds it from the start.
+    "too large") is cached on the graph like ``edge_set``.
     """
     cached = graph._tail_index
     if cached is None:
@@ -215,46 +217,87 @@ def _bitmask(ids: Sequence[int]) -> int:
     return int.from_bytes(bits, "little")
 
 
-def _index_edges(index: dict[Edge, int]) -> tuple[Edge, ...]:
-    """The sorted edge tuple that a tail index with ascending keys stands
-    for.  Each distinct mask is decoded once, into shared ints: an int
-    made per edge (ids above 256 are not cached) would cost 28 bytes more
-    per edge."""
-    ids = list(range(max(index.values(), default=0).bit_length()))
-    decoded: dict[int, list[int]] = {}
-    edges: list[Edge] = []
-    for prefix, mask in index.items():
-        run = decoded.get(mask)
-        if run is None:
-            bits = bin(mask)[:1:-1]  # bit v at position v
-            run = decoded[mask] = [ids[v] for v, bit in enumerate(bits) if bit == "1"]
-        edges += [prefix + (v,) for v in run]
-    return tuple(edges)
+def _typed_count(types: Sequence[int], j: int, m: int, r: int) -> int:
+    """The r-sets of j side and m other vertices that meet the side in a
+    number of vertices listed in ``types``."""
+    return sum(comb(j, a) * comb(m, r - a) for a in types)
+
+
+def _side_runs(
+    n: int, r: int, side: frozenset[int], types: Sequence[int]
+) -> Iterator[tuple[Edge, list[int]]]:
+    """The edges of the graph (side D, types A) on [1..n], as runs
+    (prefix p, tails) in lexicographic order: the edges p + (v,) for v in
+    tails.
+
+    A prefix p with c side vertices takes the side vertices above p[-1]
+    if c + 1 is in A, and the others above p[-1] if c is.  Only prefixes
+    whose vertices all lie below the top vertex of the pool they take
+    from are listed, so every run is nonempty.  The tails are slices of
+    shared pools, so no int is made per edge (ids above 256 are not
+    cached, and each would cost 28 bytes).  The non-side vertices are
+    listed only where a prefix or a pool holds some, so a graph with
+    r = 1 or an empty side never lists them.
+    """
+    inside = sorted(side)
+    m = n - len(inside)
+    rest: list[int] = []
+    every: list[int] = []
+    runs: list[tuple[Edge, list[int]]] = []
+    for c in range(max(0, r - 1 - m), min(r - 1, len(inside)) + 1):
+        from_side = c + 1 in types and bool(inside)
+        from_rest = c in types and m > 0
+        if not (from_side or from_rest):
+            continue
+        if not rest and (from_rest or c < r - 1):
+            rest = [v for v in range(1, n + 1) if v not in side]
+        if from_side and from_rest:
+            pool = every = every or list(range(1, n + 1))
+        else:
+            pool = inside if from_side else rest
+        top = pool[-1]
+        for a in itertools.combinations(inside[: bisect_left(inside, top)], c):
+            for b in itertools.combinations(rest[: bisect_left(rest, top)], r - 1 - c):
+                runs.append((tuple(sorted(a + b)), pool))
+    runs.sort(key=lambda run: run[0])
+    for p, pool in runs:
+        yield p, pool[bisect_right(pool, p[-1]) :] if p else pool
 
 
 def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int]:
     """The induced-count kernel: a function counting the edges of ``graph``
     inside an ascending sequence of ``size`` vertices.
 
-    Picks the cheaper exact strategy once: scan the edge list when it
-    holds at most C(size, r) edges, otherwise enumerate subsets of the
-    sequence.  An edge count below 2^min(r, size - r) <= C(size, r)
-    settles the choice without the binomial, which is slow to compute for
-    a large size and r.  Enumeration reads the tail index: an edge inside
-    U is counted once, at its own prefix, by the popcount of that prefix's
-    mask and U's mask, so C(size, r-1) probes replace C(size, r)
-    membership tests.  Where the index would be too large (a sparse graph
-    on very many vertices), it tests the r-subsets against ``edge_set``.
+    On a graph given by its side D and edge types A, the count inside U
+    is the closed form sum over a in A of C(j, a) C(size - j, r - a), with
+    j = |U cap D|; each j's value is computed on first use.  No edge is
+    read.
 
-    A graph with a symmetric side D wraps that strategy in a table keyed
-    by j = |U cap D|.  A permutation mapping D to itself maps U onto the
-    first j vertices of D and the first size - j outside it, and maps the
-    edges to themselves, so both sets induce the same count.  Each entry
-    is counted once, on first use, at that representative, so a run
-    makes at most size + 1 counts by the strategy above.
+    On any other graph it picks the cheaper exact strategy once: scan the
+    edge list when it holds at most C(size, r) edges, otherwise enumerate
+    subsets of the sequence.  An edge count below
+    2^min(r, size - r) <= C(size, r) settles the choice without the
+    binomial, which is slow to compute for a large size and r.
+    Enumeration reads the tail index: an edge inside U is counted once,
+    at its own prefix, by the popcount of that prefix's mask and U's
+    mask, so C(size, r-1) probes replace C(size, r) membership tests.
+    Where the index would be too large (a sparse graph on very many
+    vertices), it tests the r-subsets against ``edge_set``.
     """
     r = graph.r
-    if graph.edge_count.bit_length() <= min(r, size - r) or graph.edge_count <= comb(size, r):
+    side = graph._side
+    if side is not None:
+        types = graph._types
+        table: list[int | None] = [None] * (size + 1)
+
+        def count(u: Sequence[int]) -> int:
+            j = len(side.intersection(u))
+            c = table[j]
+            if c is None:
+                c = table[j] = _typed_count(types, j, size - j, r)
+            return c
+
+    elif graph.edge_count.bit_length() <= min(r, size - r) or graph.edge_count <= comb(size, r):
         edges = graph.edges
 
         def count(u: Sequence[int]) -> int:
@@ -283,21 +326,7 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
                 (tail_mask(p, 0) & mask).bit_count() for p in itertools.combinations(u, r - 1)
             )
 
-    side = graph._side
-    if side is None:
-        return count
-    inside = sorted(side)
-    outside = list(itertools.islice((v for v in range(1, graph.n + 1) if v not in side), size))
-    table: list[int | None] = [None] * (size + 1)
-
-    def count_by_overlap(u: Sequence[int]) -> int:
-        j = len(side.intersection(u))
-        c = table[j]
-        if c is None:
-            c = table[j] = count(sorted(inside[:j] + outside[: size - j]))
-        return c
-
-    return count_by_overlap
+    return count
 
 
 def _trace_groups(graph: Hypergraph, y: frozenset[int]) -> dict[Edge, set[frozenset[int]]]:
@@ -407,9 +436,9 @@ def lift_target_level(k: int, s: int, r: int) -> int:
 
 # The constructions refuse, before building anything, to draw or build
 # more than this many edges.  The paper's split graph (n = 400, 100 side
-# vertices, r = 3) has 4,485,000 edges; it is born from its 29,900-entry
-# tail index, and its edge tuples, materialised lazily only if something
-# reads them, peak at about 360 MiB.
+# vertices, r = 3) has 4,485,000 edges; it is stored as its side and edge
+# types, and its edge tuples, built only if something reads them, peak at
+# about 360 MiB.
 MAX_CONSTRUCTED_EDGES = 10**7
 
 
@@ -443,11 +472,12 @@ def lift_supersets(base: Hypergraph, r: int) -> Hypergraph:
 def construct_lift(n: int, k: int, s: int, r: int, seed: int) -> LiftConstruction:
     """Seeded lift: the base is random_hypergraph(n, s, 1/C(k,s), seed),
     each s-set decided by one exact Bernoulli draw in lexicographic order;
-    the lift takes all r-sets covering a base edge.  At s = 1 the lift
-    carries the base vertices as its symmetric side (see Hypergraph).
-    Refuses more than MAX_CONSTRUCTED_EDGES draws before making them, and
-    refuses while drawing as soon as the base edges so far times
-    C(n-s, r-s) pass that cap.
+    the lift takes all r-sets covering a base edge.  At s = 1 those are
+    the r-sets meeting the base vertices D in 1..r vertices, so the lift
+    is stored as D and those edge types (see Hypergraph), and its edges
+    are built only when read.  Refuses more than MAX_CONSTRUCTED_EDGES
+    draws before making them, and refuses while drawing as soon as the
+    base edges so far times C(n-s, r-s) pass that cap.
     """
     if not 1 <= s <= r <= k <= n:
         raise ValueError(f"need 1 <= s <= r <= k <= n, got s={s}, r={r}, k={k}, n={n}")
@@ -463,9 +493,10 @@ def construct_lift(n: int, k: int, s: int, r: int, seed: int) -> LiftConstructio
             _check_supersets(most + 1, n, s, r)
         base_edges.append(e)
     base = Hypergraph(n, s, tuple(base_edges))
-    graph = lift_supersets(base, r)
     if s == 1:
-        graph = Hypergraph(n, r, graph.edges, _side=frozenset(v for (v,) in base_edges))
+        graph = Hypergraph(n, r, None, frozenset(v for (v,) in base_edges), tuple(range(1, r + 1)))
+    else:
+        graph = lift_supersets(base, r)
     return LiftConstruction(graph, base, lift_target_level(k, s, r))
 
 
@@ -476,63 +507,23 @@ def split_target_level(k: int, s_hits: int, r: int) -> int:
 
 
 def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
-    """All r-sets meeting the distinguished vertex set in exactly one vertex.
-    Refuses up front to build more than MAX_CONSTRUCTED_EDGES of them.
-
-    The graph carries the side as its symmetric side (see Hypergraph).
-    For r >= 2 it is born from its tail index.  An edge is its
-    (r-1)-prefix p and a tail above p[-1]: a side vertex if p holds no
-    side vertex, a rest vertex if p holds one.  So p's mask is the side
-    or the rest above p[-1], and only the prefixes with a tail above them
-    are listed.  Where the index would pass the tail budget of
-    _tail_index, the edges are built instead and the index is refused.
+    """All r-sets meeting the distinguished vertex set in exactly one vertex,
+    stored as that side and the one edge type 1 (see Hypergraph); its
+    edges are built only when read.  Refuses up front to build more than
+    MAX_CONSTRUCTED_EDGES of them.
     """
     _check_shape(n, r)
     s = _vertices(side, n, "distinguished side")
     if r > n:
         raise ValueError(f"uniformity {r} exceeds vertex count {n}")
+    graph = Hypergraph(n, r, None, frozenset(s), (1,))
     _check_cap_by_bound(
         f"{len(s)} * C({n - len(s)},{r - 1}) split edges",
         min(r - 1, n - len(s) - r + 1) if s else 0,
-        lambda: len(s) * comb(n - len(s), r - 1) if s else 0,
+        lambda: graph.edge_count,
         MAX_CONSTRUCTED_EDGES,
     )
-    sset = frozenset(s)
-    if r == 1 or not s:
-        # The side's singletons, or no edges: the rest is never read.
-        return Hypergraph(n, r, tuple((v,) for v in s) if r == 1 else (), _side=sset)
-    rest = [v for v in range(1, n + 1) if v not in sset]
-    pools = (s, rest)
-    # Each listed prefix with the pool its tails come from: 0 for rest
-    # vertices only, all below the top side vertex; 1 for one side vertex
-    # and rest vertices, all below the top rest vertex.
-    prefixes = [(p, 0) for p in itertools.combinations(rest[: bisect_left(rest, s[-1])], r - 1)]
-    if rest:
-        below = rest[:-1]
-        for v in s[: bisect_left(s, rest[-1])]:
-            for t in itertools.combinations(below, r - 2):
-                i = bisect_left(t, v)
-                prefixes.append((t[:i] + (v,) + t[i:], 1))
-    prefixes.sort()
-
-    def tails(p: Edge, kind: int) -> Sequence[int]:
-        pool = pools[kind]
-        return pool[bisect_right(pool, p[-1]) :]
-
-    edge_count = len(s) * comb(len(rest), r - 1)
-    # A prefix's largest tail is the top vertex of its pool.
-    if sum(pools[kind][-1] for _, kind in prefixes) > _TAIL_BITS_PER_EDGE * edge_count:
-        edges = tuple(p + (v,) for p, kind in prefixes for v in tails(p, kind))
-        return Hypergraph(n, r, edges, False, _side=sset)
-    # Prefixes from one pool that end at the same vertex share one mask.
-    masks: dict[tuple[int, Edge], int] = {}
-    index: dict[Edge, int] = {}
-    for p, kind in prefixes:
-        key = (kind, p[-1:])
-        if key not in masks:
-            masks[key] = _bitmask(tails(p, kind))
-        index[p] = masks[key]
-    return Hypergraph(n, r, None, index, edge_count, sset)
+    return graph
 
 
 def random_hypergraph(n: int, r: int, p: Fraction | int, seed_or_rng) -> Hypergraph:

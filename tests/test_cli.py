@@ -614,6 +614,8 @@ EDGE_CASES = [
     "construct split --n 2 --side 1 --r 3 --out {out}",
     # r = 1 on a huge ground set: the side's singletons, no list of the rest
     "construct split --n 1000000000000 --side 1,5 --r 1 --out {out}",
+    # an empty side on a huge ground set: no edges, no list of the rest
+    "construct split --n 1000000000000 --side , --r 2 --out {out}",
     # r - s above n: no co-degree, so no walk over the 40!/22! prefixes
     "discrepancy --input {r_far_above_n} --s 10",
     # an unwritable --out: the path is a directory
@@ -713,6 +715,7 @@ RECORDED_REPORTS = {
     "profile --input c5.hg --k 3": (0, "a577551f62be3f46baba8a42318ecd6082f7282fe8041c4a5d208b99b5b52c41"),
     "estimate --input c5.hg --k 3 --level 2 --samples 200 --seed 7": (0, "51171764a2c74c4c1f179b64ca2021a715842afe0eec934ecd5e47f4ca749ec0"),
     "construct lift --n 8 --k 4 --s 2 --r 3 --seed 1 --out lift.hg": (0, "b012e5a1fe9f55096e569c6eaea9804940863043d463efd2647ed16c7511f950"),
+    "construct lift --n 8 --k 4 --s 1 --r 3 --seed 1 --out lift1.hg": (0, "6820d62f805810c4777bf4cad16a29f624e6d29f12f900d37909ddea46ef3ee9"),
     "construct split --n 6 --side 1,2 --r 2 --out split.hg": (0, "d6b194698b52a2a1d05f3c6df4f9367f77df64d5bf59fbd23504b9195a5e736f"),
     "coupling-check --input poly.mlp --pairs '2,1 4,3'": (0, "c8bd8ab8c1f496a00f3e23e46b2a89bac334dbfc9763e3eefe7296c62dac4c7a"),
     "coupling-check --input poly.mlp --sample-k 2 --seed 3": (0, "e50ad610753464f8ac15312a826571dec7320ef465ee0839cc795ee8993f4c46"),

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestats.hypergraph import (
+    _side_runs,
     _tail_index,
     construct_lift,
     construct_split,
@@ -270,7 +271,7 @@ def test_split_edges_meet_side_exactly_once():
 def split_oracle(n, side, r):
     """The split graph's edges as a comprehension over the side vertices
     and the (r-1)-sets of the rest, sorted: the reference for the
-    construction, which emits its tail index instead."""
+    construction, which builds them from its side and edge type instead."""
     rest = [v for v in range(1, n + 1) if v not in set(side)]
     return sorted(tuple(sorted((v,) + t)) for v in set(side) for t in itertools.combinations(rest, r - 1))
 
@@ -304,8 +305,8 @@ def assert_split_matches_oracle(n, side, r):
     ],
 )
 def test_split_graph_is_born_from_the_index_its_edges_give(n, side, r):
-    """The emitted index is the one _tail_index builds from the oracle's
-    edges, and the edges materialised from it are the oracle's."""
+    """The edges built from the side and edge type are the oracle's, in
+    order, and so is the tail index built from them."""
     assert_split_matches_oracle(n, side, r)
 
 
@@ -319,18 +320,54 @@ def test_split_graph_matches_the_oracle_on_random_shapes(seed):
     assert_split_matches_oracle(n, side, r)
 
 
-def test_split_graph_born_from_its_index_materialises_edges_only_when_read():
+def test_a_split_graph_builds_its_edges_only_when_read():
+    """The construction stores the side and its one edge type: the edge
+    count is their closed form, and the edges are built on first read,
+    once."""
     g = construct_split(30, range(1, 6), 3)
-    assert g._edges is None and isinstance(g._tail_index, dict)
     assert g.edge_count == 5 * 300
+    assert g._edges is None and g._tail_index is None and g._edge_set is None
     assert g.edges is g.edges
+    assert len(g.edges) == g.edge_count
     assert repr(g) == "Hypergraph(n=30, r=3)"
+
+
+@pytest.mark.parametrize("side, r, edges", [([], 2, ()), ([1, 5], 1, ((1,), (5,)))])
+def test_a_split_graph_on_a_huge_ground_set_never_lists_the_rest(side, r, edges):
+    """With an empty side, or at r = 1, no edge holds a vertex outside the
+    side, so building the edges lists none of the 10^12 others."""
+    tracemalloc.start()
+    try:
+        assert construct_split(10**12, side, r).edges == edges
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct_split(60, [1], 3),
+        lambda: construct_split(12, [2, 3, 5, 11], 3),
+        lambda: construct_split(9, [9], 4),
+        lambda: construct_lift(9, 4, 1, 3, 2).graph,
+    ],
+)
+def test_every_listed_prefix_of_a_constructed_graph_takes_a_tail(build):
+    """Edge building is output-sensitive: the prefixes listed are exactly
+    those of the edges.  On a split with the one side vertex 1, that is the
+    58 prefixes through vertex 1, not the C(59, 2) pairs of the rest."""
+    g = build()
+    runs = list(_side_runs(g.n, g.r, g._side, g._types))
+    assert all(tails for _, tails in runs)
+    assert [p for p, _ in runs] == sorted({e[:-1] for e in g.edges})
 
 
 def test_split_graph_past_the_tail_budget_keeps_its_edges_and_no_index():
     """Each of the 4,999 prefixes (v,) would need a 5000-bit mask for the
-    tail 5000: past the budget, so the edges are built instead and no mask
-    is made.  Counting then probes the edge set."""
+    tail 5000: past the budget, so no mask is made.  The construction
+    itself builds nothing, and its counts need neither."""
     n = 5000
     tracemalloc.start()
     try:

@@ -19,6 +19,7 @@ from edgestats.hypergraph import (
     construct_split,
     from_edges,
     induced_edge_count,
+    lift_supersets,
     random_hypergraph,
     split_target_level,
 )
@@ -289,12 +290,12 @@ def test_an_index_born_split_graph_counts_as_its_edge_list(n, side, k):
 
 
 def test_estimating_on_a_split_graph_leaves_its_edge_tuples_unbuilt():
-    """Counting reads only the tail index the split construction emits:
-    neither the edge tuples nor the edge set are ever built."""
+    """Counting reads only the side and edge type the split construction
+    stores: the edge tuples, the edge set and the tail index are never
+    built."""
     g = construct_split(60, range(1, 16), 3)
     est = estimate_point(g, 8, 30, 2000, seed=6)
-    assert g._edges is None
-    assert g._edge_set is None
+    assert g._edges is None and g._edge_set is None and g._tail_index is None
     rest = range(16, 61)
     oracle = from_edges(60, 3, [(v, *t) for v in range(1, 16) for t in itertools.combinations(rest, 2)])
     assert est == estimate_point(oracle, 8, 30, 2000, seed=6)
@@ -310,8 +311,8 @@ def lift_level(k, j, r):
 
 def assert_side_counts_match_a_plain_copy(g, side, level_of):
     """Every k from 0 to n: the profile and seeded hits of ``g`` equal those
-    of a copy without a side, and the count at each overlap j is the closed
-    form, read at a subset other than the one the table is filled at."""
+    of a copy without a side, and the count at each overlap j, read at the
+    last j side vertices and the last k - j others, is the level formula."""
     assert g._side == frozenset(side)
     plain = from_edges(g.n, g.r, g.edges)
     assert plain._side is None
@@ -358,6 +359,7 @@ def test_a_split_graph_counts_by_its_side_overlap(build):
 )
 def test_an_s1_lift_counts_by_its_base_vertices(build):
     built = build()
+    assert built.graph.edges == lift_supersets(built.base, built.graph.r).edges
     side = [v for (v,) in built.base.edges]
     assert_side_counts_match_a_plain_copy(built.graph, side, lift_level)
 
@@ -373,15 +375,18 @@ def test_side_counts_match_a_plain_copy_on_random_shapes(seed):
         assert_side_counts_match_a_plain_copy(construct_split(n, side, r), side, split_target_level)
     else:
         built = construct_lift(n, r + rand_below(rng, n - r + 1), 1, r, seed)
+        assert built.graph.edges == lift_supersets(built.base, r).edges
         side = [v for (v,) in built.base.edges]
         assert_side_counts_match_a_plain_copy(built.graph, side, lift_level)
 
 
-def test_a_side_profile_makes_one_probe_count_per_overlap(monkeypatch):
-    """The 15,504 subsets of a profile share k + 1 = 6 overlaps, so the
-    tail-index strategy (one bisect per count) runs at most 6 times."""
+def test_a_side_profile_makes_no_probe_count(monkeypatch):
+    """The 15,504 subsets of a profile are counted by the closed form in
+    their overlap with the side alone: the tail-index strategy (one bisect
+    per count) never runs, and no edge, edge set or tail index is built."""
     g = construct_split(20, range(1, 6), 3)
-    want = exact_profile(from_edges(20, 3, g.edges), 5)
+    oracle = [(v, *t) for v in range(1, 6) for t in itertools.combinations(range(6, 21), 2)]
+    want = exact_profile(from_edges(20, 3, oracle), 5)
     calls = []
 
     def counted(*args):
@@ -390,7 +395,25 @@ def test_a_side_profile_makes_one_probe_count_per_overlap(monkeypatch):
 
     monkeypatch.setattr(hypergraph, "bisect_right", counted)
     assert exact_profile(g, 5) == want
-    assert 1 <= len(calls) <= 6
+    assert calls == []
+    assert g._edges is None and g._edge_set is None and g._tail_index is None
+
+
+def test_counting_on_an_s1_lift_builds_no_edges():
+    """Criterion 5's lift (about 195k edges) is counted, profiled and
+    estimated on from its base vertices alone: no edge, edge set or tail
+    index is built, and the counts are the closed form C(k, 2) - C(k - j, 2)."""
+    g = construct_lift(2000, 20, 1, 2, 55).graph
+    side = sorted(g._side)
+    count = _edge_counter(g, 20)
+    for j in (0, 1, 5, 20):
+        u = sorted(side[:j] + [v for v in range(1, 2001) if v not in g._side][: 20 - j])
+        assert count(u) == lift_level(20, j, 2)
+    small = construct_lift(12, 5, 1, 3, 1).graph
+    exact_profile(small, 5)
+    estimate_point(g, 20, 19, 500, seed=56)
+    for graph in (g, small):
+        assert graph._edges is None and graph._edge_set is None and graph._tail_index is None
 
 
 # ---------------------------------------------------------------------------
