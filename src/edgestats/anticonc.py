@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, perm
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .hypergraph import _check_cap, _vertices
+from .hypergraph import _CLOSED_FORM_CAP, _check_cap, _check_cap_by_bound, _vertices
 from .multilinear import MultilinearPoly, _cover_sums, exhaustive_distribution
 from .serialize import format_rational
 
@@ -113,12 +113,21 @@ def max_prob_binomial_one(p: Fraction) -> Fraction:
     """max over trial counts m >= 1 of Pr[Binomial(m, p) = 1], exactly.
 
     The point mass m*p*(1-p)^(m-1) rises while m <= 1/p - 1 and falls
-    after, so the maximum is at m = floor(1/p).
+    after, so the maximum is at m = floor(1/p).  Refuses, before raising
+    1 - p = (b - a)/b to that power, a denominator b^(m-1) past
+    _CLOSED_FORM_CAP.
     """
     p = Fraction(p)
     if not 0 < p <= 1:
         raise ValueError(f"need p in (0, 1], got {p}")
-    m = p.denominator // p.numerator
+    b = p.denominator
+    m = b // p.numerator
+    _check_cap_by_bound(
+        f"denominator {b}^{m - 1} of (1 - p)^{m - 1}",
+        (m - 1) * (b.bit_length() - 1),
+        lambda: b ** (m - 1),
+        _CLOSED_FORM_CAP,
+    )
     return m * p * (1 - p) ** (m - 1)
 
 
@@ -184,9 +193,9 @@ def poisson_interval_check(
     if gamma is not None and not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
     s = len(poly.active_variables)
+    bound = max_prob_binomial_one(p)
     dist = exhaustive_distribution(poly, p)
     prob = dist.interval_probability(level, radius)
-    bound = max_prob_binomial_one(p)
     precondition = level > Fraction(3) ** s * radius
     report = PoissonReport(
         probability=prob,

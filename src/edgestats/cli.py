@@ -384,10 +384,12 @@ def main(argv: list[str] | None = None) -> int:
             report["params"]["input"] = args.input
             report["input_digest"] = digest
         report["command"] = args.report_name
+        # Inside the guard: an int of more than 4300 digits cannot be printed.
+        text = json.dumps(report, indent=2, sort_keys=True)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(text + "\n")
     return 1 if report["violations"] else 0
 
 

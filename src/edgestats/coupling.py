@@ -43,10 +43,13 @@ Pair = tuple[int, int]
 SignIndex = tuple[int, ...]
 
 
-def _validate_pairs(pairs: Sequence[Pair], n: int) -> tuple[Pair, ...]:
-    ps = tuple((int(a), int(b)) for a, b in pairs)
+def _slots(pairs: Sequence[Pair], n: int) -> dict[int, tuple[int, int]]:
+    """The slot map of a checked pairing: each paired vertex's pair index
+    i (from 1) and 1 for the minus slot, 0 for the plus slot.  That slot
+    is bit 2i - minus of a mask over the 2k slots."""
+    ps = [(int(a), int(b)) for a, b in pairs]
     _vertices((v for p in ps for v in p), n, "coupling", distinct=True)
-    return ps
+    return {v: (i, minus) for i, p in enumerate(ps, start=1) for v, minus in zip(p, (1, 0))}
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class Coupling:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _validate_pairs(self.pairs, self.n)
+        _slots(self.pairs, self.n)
         if len(self.signs) != len(self.pairs):
             raise ValueError("need exactly one sign per pair")
         if any(s not in (-1, 1) for s in self.signs):
@@ -83,39 +86,16 @@ def sample_coupling(n: int, k: int, seed: int) -> Coupling:
     if not 0 <= 2 * k <= n:
         raise ValueError(f"need 0 <= 2k <= n, got k={k}, n={n}")
     rng = new_generator(seed)
-    flat = sample_ordered(rng, n, 2 * k)
-    pairs = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(k))
+    pairs = _draw_pairs(rng, n, k)
     signs = tuple(rademacher(rng) for _ in range(k))
     return Coupling(n, pairs, signs)
 
 
-def _expansion_contributions(poly: MultilinearPoly, pairs: Sequence[Pair]):
-    """Yield (touched pair index set J(W), minus slots of W, coeff, |W|)
-    for every support of ``poly`` that survives the pairing."""
-    slot: dict[int, tuple[int, int]] = {}
-    for i, (minus, plus) in enumerate(pairs, start=1):
-        slot[minus] = (i, -1)
-        slot[plus] = (i, 1)
-    for support, coeff in poly.terms:
-        if not support:
-            yield frozenset(), frozenset(), coeff, 0
-            continue
-        touched: dict[int, int] = {}
-        ok = True
-        for v in support:
-            hit = slot.get(v)
-            if hit is None:  # vertex outside the paired set: monomial dies
-                ok = False
-                break
-            idx, side = hit
-            if idx in touched:  # both slots of one pair: sigma product is 0
-                ok = False
-                break
-            touched[idx] = side
-        if not ok:
-            continue
-        minus_slots = frozenset(i for i, side in touched.items() if side == -1)
-        yield frozenset(touched), minus_slots, coeff, len(support)
+def _draw_pairs(rng, n: int, k: int) -> tuple[Pair, ...]:
+    """k disjoint pairs from one ordered draw of 2k vertices of [1..n],
+    consumed pairwise as (minus, plus)."""
+    flat = sample_ordered(rng, n, 2 * k)
+    return tuple(zip(flat[::2], flat[1::2]))
 
 
 def sign_expansion_table(
@@ -124,15 +104,19 @@ def sign_expansion_table(
     """All sign-expansion coefficients at once, keyed by ascending index
     tuples; only indices reachable from some surviving support appear.
     Absent indices have coefficient exactly 0."""
-    ps = _validate_pairs(tuple(pairs), poly.n)
+    slot = _slots(pairs, poly.n)
     table: dict[SignIndex, Fraction] = {}
-    for touched, minus_slots, coeff, size in _expansion_contributions(poly, ps):
-        weight = coeff * Fraction(1, 2**size)
-        touched_sorted = sorted(touched)
-        for m in range(len(touched_sorted) + 1):
-            for idx in itertools.combinations(touched_sorted, m):
-                sign = -1 if len(frozenset(idx) & minus_slots) % 2 else 1
-                table[idx] = table.get(idx, Fraction(0)) + sign * weight
+    for support, coeff in poly.terms:
+        hits = [slot.get(v) for v in support]
+        if None in hits or len({i for i, _ in hits}) < len(hits):
+            continue  # a vertex off the pairs, or both slots of one pair
+        hits.sort()
+        weight = coeff / 2 ** len(hits)
+        for m in range(len(hits) + 1):
+            for chosen in itertools.combinations(hits, m):
+                sign = -1 if sum(minus for _, minus in chosen) % 2 else 1
+                idx = tuple(i for i, _ in chosen)
+                table[idx] = table.get(idx, 0) + sign * weight
     return {idx: c for idx, c in table.items() if c != 0}
 
 
@@ -163,23 +147,30 @@ def check_sign_expansion(poly: MultilinearPoly, pairs: Sequence[Pair]) -> SignEx
     holds, always, since both sides are exact rationals).  The expansion
     is the table's Walsh-Hadamard transform at the pairs whose sign is -1.
     """
-    ps = _validate_pairs(tuple(pairs), poly.n)
-    k = len(ps)
+    pairs = tuple(pairs)
+    slot = _slots(pairs, poly.n)
+    k = len(pairs)
     _check_cap("sign variables", k, 20)
-    table = sign_expansion_table(poly, ps)
+    table = sign_expansion_table(poly, pairs)
     expanded = _subset_transform(range(1, k + 1), table, _walsh)
-    # The direct side: supports and chosen sets as vertex bitmasks, and
-    # coefficients as integer numerators over one common denominator.
+    # The direct side: supports and chosen slots as masks over the 2k slot
+    # bits, and coefficients as integer numerators over one common
+    # denominator.  A support with a vertex off the pairs is never chosen.
     den = math.lcm(*(c.denominator for _, c in poly.terms))
     supports = [
-        (sum(1 << v for v in s), c.numerator * (den // c.denominator)) for s, c in poly.terms
+        (
+            sum(1 << (2 * i - minus) for i, minus in map(slot.get, s)),
+            c.numerator * (den // c.denominator),
+        )
+        for s, c in poly.terms
+        if all(v in slot for v in s)
     ]
+    all_plus = sum(1 << 2 * i for i in range(1, k + 1))
     worst = Fraction(0)
-    for signs in itertools.product((-1, 1), repeat=k):
-        chosen = sum(1 << (p[1] if s == 1 else p[0]) for p, s in zip(ps, signs))
+    for minus_pairs, value in expanded.items():
+        chosen = all_plus ^ sum(3 << (2 * i - 1) for i in minus_pairs)
         direct = Fraction(sum(c for m, c in supports if m & chosen == m), den)
-        minus = tuple(i for i, s in enumerate(signs, start=1) if s == -1)
-        worst = max(worst, abs(direct - expanded[minus]))
+        worst = max(worst, abs(direct - value))
     return SignExpansionReport(k, table, worst, 2**k)
 
 

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .hypergraph import (
+    _CLOSED_FORM_CAP,
     Hypergraph,
     _check_cap,
+    _check_cap_by_bound,
     _trace_groups,
     _vertices,
     lex_min_maximum_matching,
@@ -99,7 +101,13 @@ class CoverCertificate:
 
 
 def default_step_cap(r: int, m: int) -> int:
-    return 10 * (r * m) ** (r + 2)
+    """10 (r m)^(r + 2), refused past _CLOSED_FORM_CAP before it is computed."""
+    return _check_cap_by_bound(
+        f"default step cap 10 * ({r}*{m})^{r + 2}",
+        (r + 2) * ((r * m).bit_length() - 1) + 3,
+        lambda: 10 * (r * m) ** (r + 2),
+        _CLOSED_FORM_CAP,
+    )
 
 
 def _first_bad_trace(graph: Hypergraph, pivot: frozenset[int], m: int) -> tuple[Trace, tuple[Trace, ...]] | None:

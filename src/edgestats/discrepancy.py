@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 
-from .hypergraph import _check_cap_by_bound
+from .hypergraph import _CLOSED_FORM_CAP, _check_cap_by_bound
 from .multilinear import _cover_sums
 from .serialize import format_rational
 
@@ -104,7 +104,8 @@ def signed_discrepancy(
     does far less work, but the same inputs are refused.  Collecting the
     weights stores one per ordered 2s-tuple, refused past
     MAX_STORED_WEIGHTS.  Every per-sequence weight is checked against the
-    size bound 2^s * n^(r-s) as it is produced.
+    size bound 2^s * n^(r-s) as it is produced; that bound is refused past
+    _CLOSED_FORM_CAP before it is computed.
     """
     n, r = graph.n, graph.r
     if not 1 <= s <= r:
@@ -125,9 +126,14 @@ def signed_discrepancy(
             lambda: perm(n, 2 * s),
             MAX_STORED_WEIGHTS,
         )
+    bound = _check_cap_by_bound(
+        f"per-sequence bound 2^{s} * {n}^{r - s}",
+        s + (r - s) * (n.bit_length() - 1),
+        lambda: 2**s * n ** (r - s),
+        _CLOSED_FORM_CAP,
+    )
     seq_count = perm(n, 2 * s)
     vertices = range(1, n + 1)
-    bound = 2**s * n ** (r - s)
 
     codegrees = _cover_sums(((e, 1) for e in graph.edges), s)
     if not codegrees:  # no edges (as whenever r - s > n): every weight is 0

@@ -51,24 +51,48 @@ def _check_shape(n: int, r: int) -> None:
         raise ValueError(f"uniformity must be a positive integer, got {r}")
 
 
-def _check_cap(what: str, count: int, cap: int) -> None:
+def _check_cap(what: str, count: int | None, cap: int, bits: int = 0) -> None:
     """Refuse, before the work starts, a count of work past its cap.  A
     count past 2^64 is shown by its bit length, as its digits could run
-    to thousands."""
-    if count > cap:
+    to thousands, and a cap that is a power of two past 2^64 by its
+    exponent.  A count not computed (None) is known only to be at least
+    2^bits, and is refused when that bound passes the cap."""
+    if count is None:
+        if bits < max(cap, 0).bit_length():
+            return
+        shown = f"at least 2^{bits}"
+    elif count <= cap:
+        return
+    else:
         shown = count if count < 2**64 else f"at least 2^{count.bit_length() - 1}"
-        raise ValueError(f"{what} = {shown} exceeds the cap of {cap}")
+    limit = cap if cap < 2**64 or cap & (cap - 1) else f"2^{cap.bit_length() - 1}"
+    raise ValueError(f"{what} = {shown} exceeds the cap of {limit}")
 
 
-def _check_cap_by_bound(what: str, bits: int, count: Callable[[], int], cap: int) -> None:
+def _check_cap_by_bound(what: str, bits: int, count: Callable[[], int], cap: int) -> int:
     """_check_cap for a count that is itself costly to compute, given a
     cheap ``bits`` with count >= 2^bits (C(n, j) >= 2^min(j, n - j) for
-    0 <= j <= n).  A bound of 64 bits or more that already passes the cap
-    refuses without the count; otherwise the count is computed and
-    checked, so a count below 2^64 is always shown exactly."""
+    0 <= j <= n); returns the count.  A bound of 64 bits or more that
+    already passes the cap refuses without the count; otherwise the count
+    is computed and checked, so a count below 2^64 is always shown
+    exactly."""
     if bits >= 64:
-        _check_cap(what, 1 << bits, cap)
-    _check_cap(what, count(), cap)
+        _check_cap(what, None, cap, bits)
+    exact = count()
+    _check_cap(what, exact, cap)
+    return exact
+
+
+# A closed form that a report prints (cover's default step cap, the
+# per-sequence bound of a discrepancy, the binomial point mass of a
+# Poisson check) is refused past this before it is computed, so one costs
+# at most a few microseconds.  A printed integer past 10^4300 (about
+# 2^14284) exceeds Python's int-to-str limit anyway, and the CLI exits 2.
+_CLOSED_FORM_CAP = 1 << 65536
+
+# No command lists or draws more vertex ids than this at once: a pool of
+# [1..n] or of the vertices off a side, or one sample.
+MAX_LISTED_VERTICES = 10**7
 
 
 def _vertices(ids: Iterable[int], n: int, what: str, *, distinct: bool = False) -> Edge:
@@ -476,14 +500,16 @@ def construct_lift(n: int, k: int, s: int, r: int, seed: int) -> LiftConstructio
     the r-sets meeting the base vertices D in 1..r vertices, so the lift
     is stored as D and those edge types (see Hypergraph), and its edges
     are built only when read.  Refuses more than MAX_CONSTRUCTED_EDGES
-    draws before making them, and refuses while drawing as soon as the
-    base edges so far times C(n-s, r-s) pass that cap.
+    draws, or a pool of more than MAX_LISTED_VERTICES, before making
+    them, and refuses while drawing as soon as the base edges so far times
+    C(n-s, r-s) pass that cap.
     """
     if not 1 <= s <= r <= k <= n:
         raise ValueError(f"need 1 <= s <= r <= k <= n, got s={s}, r={r}, k={k}, n={n}")
     _check_cap_by_bound(
         f"C({n},{s}) base draws", min(s, n - s), lambda: comb(n, s), MAX_CONSTRUCTED_EDGES
     )
+    _check_cap("vertices listed", n, MAX_LISTED_VERTICES)
     # The most base edges whose supersets stay within the cap; C(n-s, r-s)
     # is at least 2^min(r-s, n-r), so past 2^64 none are.
     most = 0 if min(r - s, n - r) >= 64 else MAX_CONSTRUCTED_EDGES // comb(n - s, r - s)
@@ -510,7 +536,8 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
     """All r-sets meeting the distinguished vertex set in exactly one vertex,
     stored as that side and the one edge type 1 (see Hypergraph); its
     edges are built only when read.  Refuses up front to build more than
-    MAX_CONSTRUCTED_EDGES of them.
+    MAX_CONSTRUCTED_EDGES of them, or to list more than
+    MAX_LISTED_VERTICES vertices off the side for them.
     """
     _check_shape(n, r)
     s = _vertices(side, n, "distinguished side")
@@ -523,6 +550,8 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
         lambda: graph.edge_count,
         MAX_CONSTRUCTED_EDGES,
     )
+    if r > 1 and s:  # then listing its edges lists the vertices off the side
+        _check_cap("vertices off the side listed", n - len(s), MAX_LISTED_VERTICES)
     return graph
 
 

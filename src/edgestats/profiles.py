@@ -15,6 +15,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .hypergraph import (
+    MAX_LISTED_VERTICES,
     Hypergraph,
     _check_cap,
     _check_cap_by_bound,
@@ -71,8 +72,9 @@ class EdgeProfile:
 def exact_profile(graph: Hypergraph, k: int, *, max_subsets: int = DEFAULT_PROFILE_CAP) -> EdgeProfile:
     """Exhaustive profile of e(G[U]) over every k-subset U.
 
-    Refuses to enumerate more than ``max_subsets`` subsets; estimate_point
-    is the sampling fallback at that scale.
+    Refuses to enumerate more than ``max_subsets`` subsets, or to list a
+    pool of more than MAX_LISTED_VERTICES vertices; estimate_point is the
+    sampling fallback at that scale.
     """
     if not 0 <= k <= graph.n:
         raise ValueError(f"subset size {k} outside [0..{graph.n}]")
@@ -82,6 +84,7 @@ def exact_profile(graph: Hypergraph, k: int, *, max_subsets: int = DEFAULT_PROFI
         lambda: comb(graph.n, k),
         max_subsets,
     )
+    _check_cap("vertices listed", graph.n, MAX_LISTED_VERTICES)
     counts: dict[int, int] = {}
     count = _edge_counter(graph, k)
     for u in itertools.combinations(range(1, graph.n + 1), k):
@@ -126,9 +129,11 @@ class PointEstimate:
 
 def estimate_point(graph: Hypergraph, k: int, level: int, samples: int, seed: int) -> PointEstimate:
     """Sample ``samples`` uniform k-subsets (one ordered Fisher-Yates draw
-    each, in order) and count those inducing exactly ``level`` edges."""
+    each, in order) and count those inducing exactly ``level`` edges.
+    Refuses a sample of more than MAX_LISTED_VERTICES vertices."""
     if not 0 <= k <= graph.n:
         raise ValueError(f"subset size {k} outside [0..{graph.n}]")
+    _check_cap("vertices per sample", k, MAX_LISTED_VERTICES)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = new_generator(seed)

@@ -532,8 +532,9 @@ def test_construct_into_a_missing_directory_is_a_usage_error(tmp_path, capsys, c
 # would have about 9.0e9 edges and the lift about 5.0e9; --top on 100
 # vertices at s = 2 would store 94,109,400 sequence weights; the TV sums
 # at n = 10^6 reduce a denominator C(n, k) * n^t of about 10^6 bits.  The
-# last four counts have 250,000 bits or more, so computing one exactly
-# would take seconds: they are refused by a lower bound first.
+# four counts from the n = 10^6 split on have 250,000 bits or more, so
+# computing one exactly would take seconds: they are refused by a lower
+# bound first.
 OVERSIZED = [
     "anticonc moments --input {wide_support} --n 30 --k 10",
     "construct split --n 3000 --side 1,2 --r 4 --out {out}",
@@ -545,6 +546,19 @@ OVERSIZED = [
     "construct lift --n 1000000 --k 500000 --s 250000 --r 250000 --seed 0 --out {out}",
     "profile --input {million} --k 500000",
     "discrepancy --input {million_wide} --s 250000",
+    # a cheap lower bound of about 2^(10^12), refused without building it
+    "construct split --n 100000000000000000000 --side 3,2000 --r 1000000000000 --out {out}",
+    "discrepancy --input {huge_wide} --s 2000",
+    # closed forms of at least 2.6e9, 1.9e9 and 6.6e21 bits, refused before they are computed
+    "cover run --input {million_huge_r} --m 1",
+    "discrepancy --input {million_huge_r} --s 64",
+    "anticonc poisson --input {poly} --p 1/100000000000000000000 --level 1 --radius 1/2",
+    # few subsets, draws or edges, but each of 10^8 to 10^20 vertex ids
+    "profile --input {huge_huge} --k 0",
+    "profile --input {huge_4} --k 100000000000000000000",
+    "construct lift --n 1000000000000 --k 1000000000000 --s 1000000000000 --r 1000000000000 --seed 0 --out {out}",
+    "estimate --input {n_1e8} --k 100000000 --level 0 --samples 1 --seed 0",
+    "construct split --n 1000000000000 --side 1 --r 1000000000000 --out {out}",
 ]
 
 
@@ -564,6 +578,18 @@ def sweep_inputs(tmp_path):
         "million": "1000000 2\n",
         "million_wide": "1000000 500000\n",
         "huge_n": "100000000000000000000 2\n1 2\n1 3\n2 3\n",
+        "huge_pair": "100000000000000000000\n1 : 1 2\n",
+        "huge_far_pair": "100000000000000000000\n1 : 1 99999999999999999998\n",
+        "far_support": "100000000\n3/7 :\n2 : 2 3 99999999\n",
+        "huge_wide": "100000000000000000000 1000000000000\n",
+        "one_2000": "1 2000\n",
+        "wide_3000": "3000 2000\n",
+        "million_huge_r": "1000000 100000000\n",
+        "hundred_60": "100 60\n",
+        "huge_huge": "100000000000000000000 100000000000000000000\n",
+        "huge_4": "100000000000000000000 4\n",
+        "n_1e8": "100000000 2\n",
+        "million_quarter": "1000000 250000\n",
     }
     paths = {"dir": str(tmp_path), "out": str(tmp_path / "out.hg")}
     for name, text in texts.items():
@@ -634,6 +660,17 @@ EDGE_CASES = [
     # a gamma that JSON cannot carry
     "anticonc poisson --input {poly} --p 1/2 --level 1 --radius 0 --gamma nan",
     "anticonc poisson --input {poly} --p 1/2 --level 1 --radius 0 --gamma inf",
+    # pairs far above 2k on a huge ground set: slot masks, not vertex masks
+    "coupling-check --input {huge_pair} --sample-k 1 --seed 0",
+    "coupling-check --input {huge_far_pair} --sample-k 0 --seed 0",
+    "coupling-check --input {far_support} --sample-k 8 --seed 2",
+    # a report whose default step cap has too many digits to print
+    "cover run --input {one_2000} --m 2000",
+    "cover run --input {wide_3000} --m 1",
+    # a 112-digit default step cap, printed
+    "cover run --input {hundred_60} --m 1",
+    # one draw of 500,000 vertices, under the per-sample cap
+    "estimate --input {million_quarter} --k 500000 --level 0 --samples 1 --seed 0",
     # work past a cap, refused before it starts
     *OVERSIZED,
 ]

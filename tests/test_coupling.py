@@ -218,6 +218,21 @@ def test_table_matches_the_definition_at_every_index(seed):
             assert table.get(idx, 0) == expansion_coefficient(poly, pairs, idx)
 
 
+def test_the_check_does_not_grow_with_the_vertex_ids():
+    """Pairs near n = 10^20, and a support off the pairs: the check reads
+    2k slot bits, so it runs at once and the identity holds."""
+    n = 10**20
+    poly = MultilinearPoly.from_terms(
+        n, {(): Fraction(3, 7), (n - 3, n): 1, (n - 2,): 2, (1, n - 1): Fraction(1, 3), (n - 3, n - 2): 5}
+    )
+    pairs = [(n - 3, n - 2), (n - 1, n)]
+    report = check_sign_expansion(poly, pairs)
+    assert report.assignments_checked == 4
+    assert report.max_abs_discrepancy == 0
+    for idx in [(), (1,), (2,), (1, 2)]:
+        assert report.coefficients.get(idx, 0) == expansion_coefficient(poly, pairs, idx)
+
+
 @pytest.mark.parametrize("index, delta", [((1,), Fraction(1, 7)), ((1, 2, 3), Fraction(-3))])
 def test_a_wrong_expansion_table_is_caught(monkeypatch, index, delta):
     """The direct side does not read the table: moving one coefficient

@@ -17,7 +17,7 @@ from edgestats.anticonc import (
     slice_moments,
 )
 from edgestats.coupling import Coupling, check_sign_expansion
-from edgestats.cover import verify_cover
+from edgestats.cover import greedy_cover, verify_cover
 from edgestats.discrepancy import signed_discrepancy
 from edgestats.hypergraph import (
     construct_lift,
@@ -27,7 +27,7 @@ from edgestats.hypergraph import (
     lift_supersets,
 )
 from edgestats.multilinear import MultilinearPoly, exhaustive_distribution
-from edgestats.profiles import conditional_junta, exact_profile
+from edgestats.profiles import conditional_junta, estimate_point, exact_profile
 from edgestats.rng import bernoulli
 
 
@@ -128,6 +128,26 @@ CAPS = {
         "3001 gap terms times 39000 bits = 117039000 exceeds the cap of 1000000",
         (anticonc, "comb"),
     ),
+    "exact_profile-vertices": (
+        lambda: exact_profile(from_edges(10**7 + 1, 2, []), 0),
+        "vertices listed = 10000001 exceeds the cap of 10000000",
+        (profiles, "_edge_counter"),
+    ),
+    "construct_lift-vertices": (
+        lambda: construct_lift(10**7 + 1, 10**7 + 1, 10**7 + 1, 10**7 + 1, 0),
+        "vertices listed = 10000001 exceeds the cap of 10000000",
+        (hypergraph, "_coin_edges"),
+    ),
+    "construct_split-vertices": (
+        lambda: construct_split(10**7 + 2, [1], 10**7 + 2),
+        "vertices off the side listed = 10000001 exceeds the cap of 10000000",
+        (hypergraph, "_side_runs"),
+    ),
+    "estimate_point": (
+        lambda: estimate_point(from_edges(10**8, 2, []), 10**7 + 1, 0, 1, 0),
+        "vertices per sample = 10000001 exceeds the cap of 10000000",
+        (profiles, "sample_ordered"),
+    ),
 }
 
 
@@ -135,6 +155,46 @@ CAPS = {
 def test_every_cap_refuses_with_one_message_before_its_work(site, monkeypatch):
     call, message, (module, work) = CAPS[site]
     assert re.fullmatch(r".+ = \d+ exceeds the cap of \d+", message)
+    monkeypatch.setattr(module, work, Forbidden(work))
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# id -> (the refused call, its whole message, (module, name) of its work);
+# each count's lower bound passes its cap, so the count is never computed.
+BOUND_CAPS = {
+    "_check_cap_by_bound": (
+        lambda: construct_split(10**20, [3, 2000], 10**12),
+        "2 * C(99999999999999999998,999999999999) split edges = at least 2^999999999999"
+        " exceeds the cap of 10000000",
+        (hypergraph, "comb"),
+    ),
+    "default_step_cap": (
+        lambda: greedy_cover(from_edges(10**6, 10**8, []), 1),
+        "default step cap 10 * (100000000*1)^100000002 = at least 2^2600000055"
+        " exceeds the cap of 2^65536",
+        (cover, "_first_bad_trace"),
+    ),
+    "per_sequence_bound": (
+        lambda: signed_discrepancy(from_edges(10**6, 10**8, []), 64),
+        "per-sequence bound 2^64 * 1000000^99999936 = at least 2^1899998848"
+        " exceeds the cap of 2^65536",
+        (discrepancy, "_cover_sums"),
+    ),
+    "max_prob_binomial_one": (
+        lambda: poisson_interval_check(singletons(2), Fraction(1, 10**20), 1, Fraction(1, 2)),
+        "denominator 100000000000000000000^99999999999999999999 of (1 - p)^99999999999999999999"
+        " = at least 2^6599999999999999999934 exceeds the cap of 2^65536",
+        (anticonc, "exhaustive_distribution"),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", BOUND_CAPS)
+def test_every_cap_refuses_from_its_lower_bound_before_its_work(site, monkeypatch):
+    call, message, (module, work) = BOUND_CAPS[site]
+    assert re.fullmatch(r".+ = at least 2\^\d+ exceeds the cap of (\d+|2\^\d+)", message)
     monkeypatch.setattr(module, work, Forbidden(work))
     with pytest.raises(ValueError) as info:
         call()
