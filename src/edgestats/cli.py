@@ -31,10 +31,10 @@ from .anticonc import (
     poisson_interval_check,
     slice_moments,
 )
-from .coupling import check_sign_expansion, sample_coupling
+from .coupling import MAX_SIGN_VARIABLES, check_sign_expansion, sample_coupling
 from .cover import greedy_cover, verify_cover
 from .discrepancy import DEFAULT_TERM_CAP, signed_discrepancy
-from .hypergraph import construct_lift, construct_split, format_hg, parse_hg
+from .hypergraph import _check_cap, construct_lift, construct_split, format_hg, parse_hg
 from .multilinear import _subset_transform, _zeta, parse_mlp
 from .profiles import DEFAULT_PROFILE_CAP, estimate_point, exact_profile
 from .serialize import parse_rational
@@ -76,6 +76,23 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
         except ValueError as exc:
             raise ValueError(f"pair {tok!r} is not a pair of integers") from exc
     return tuple(pairs)
+
+
+def _unprintable(value, path: str = "") -> str | None:
+    """The path (as ``results.step_cap``) of the first int in a report,
+    in the order json.dumps writes it, with more digits than Python
+    converts to text; None if there is none."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}" if path else key, v) for key, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        try:
+            str(value)
+        except ValueError:
+            return path
+        return None
+    return next(filter(None, (_unprintable(v, p) for p, v in items)), None)
 
 
 def _report(params: dict, results: dict, violations: list[str], **extra) -> dict:
@@ -149,6 +166,8 @@ def _cmd_coupling_check(args, poly) -> dict:
             raise ValueError("provide either --pairs or --sample-k with --seed")
         if args.seed is None:
             raise ValueError("sampling a coupling requires --seed")
+        # check_sign_expansion's cap, before the 2k vertices are drawn.
+        _check_cap("sign variables", args.sample_k, MAX_SIGN_VARIABLES)
         coupling = sample_coupling(poly.n, args.sample_k, args.seed)
         pairs = coupling.pairs
         params["sample_k"] = args.sample_k
@@ -384,8 +403,14 @@ def main(argv: list[str] | None = None) -> int:
             report["params"]["input"] = args.input
             report["input_digest"] = digest
         report["command"] = args.report_name
-        # Inside the guard: an int of more than 4300 digits cannot be printed.
-        text = json.dumps(report, indent=2, sort_keys=True)
+        try:
+            text = json.dumps(report, indent=2, sort_keys=True)
+        except ValueError:
+            # An int of more than 4300 digits cannot be printed.
+            field = _unprintable(report)
+            if field is None:
+                raise
+            raise ValueError(f"report field {field} has too many digits to print") from None
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,6 +42,10 @@ __all__ = [
 Pair = tuple[int, int]
 SignIndex = tuple[int, ...]
 
+# check_sign_expansion refuses more pairs than this: it checks all 2^k
+# sign vectors.
+MAX_SIGN_VARIABLES = 20
+
 
 def _slots(pairs: Sequence[Pair], n: int) -> dict[int, tuple[int, int]]:
     """The slot map of a checked pairing: each paired vertex's pair index
@@ -150,7 +154,7 @@ def check_sign_expansion(poly: MultilinearPoly, pairs: Sequence[Pair]) -> SignEx
     pairs = tuple(pairs)
     slot = _slots(pairs, poly.n)
     k = len(pairs)
-    _check_cap("sign variables", k, 20)
+    _check_cap("sign variables", k, MAX_SIGN_VARIABLES)
     table = sign_expansion_table(poly, pairs)
     expanded = _subset_transform(range(1, k + 1), table, _walsh)
     # The direct side: supports and chosen slots as masks over the 2k slot

@@ -22,7 +22,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .rng import bernoulli, new_generator
-from .serialize import _read_records
+from .serialize import _read_clean, _read_records
 
 __all__ = [
     "Hypergraph",
@@ -582,13 +582,76 @@ def _coin_edges(n: int, r: int, p: Fraction, rng) -> Iterator[Edge]:
 
 def parse_hg(text: str) -> Hypergraph:
     """Parse .hg text, refusing a bad edge as from_edges does, after the
-    1-based number of its line."""
-    (n, r), edges = _read_records(text, "<n> <r>", _check_shape, _canonical_edge, "edge")
-    edges.sort()
+    1-based number of its line.
+
+    A clean text (see serialize._read_clean) is checked in bulk, column by
+    column: ids in [1..n] by their min and max, each column below the
+    next, and no edge repeated after the one sort.  A text that fails any
+    check is read by serialize._read_records, which refuses it with the
+    message and line number it gives any text, so the bulk checks decide
+    only what a clean text means.
+
+    Either way, the graph is then given by a side when one fits: where
+    the listed vertices fall into at most two degree classes, each class
+    in turn (the higher degree first) is tried as D, with A the overlaps
+    |e cap D| the edges have.  The edges are distinct r-sets with their
+    overlaps in A, so when they number _typed_count(A, |D|, n - |D|, r),
+    they are all of (D, A)'s edges, and the graph is stored as D and A.
+    A term C(N, j) of that count is at least 2^min(j, N - j), so one whose
+    bound passes the edge count fails the side without being computed.
+    """
+    from collections import Counter
+    from operator import eq, lt
+
+    edges = None
+    clean = _read_clean(text, "<n> <r>", _check_shape)
+    if clean is not None:
+        (n, r), flat = clean
+        cols = [flat[i::r] for i in range(r)] if flat else []
+        if not flat or (
+            1 <= min(flat)
+            and max(flat) <= n
+            and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
+        ):
+            edges = sorted(zip(*cols))
+            if any(map(eq, edges, itertools.islice(edges, 1, None))):
+                edges = None
+    if edges is None:
+        (n, r), edges = _read_records(text, "<n> <r>", _check_shape, _canonical_edge, "edge")
+        edges.sort()
+        cols = list(zip(*edges))
+    degree = Counter(itertools.chain.from_iterable(cols))
+    levels = set(degree.values())
+    if len(levels) <= 2:
+        bits = len(edges).bit_length()
+        for level in sorted(levels, reverse=True):
+            side = frozenset(v for v, d in degree.items() if d == level)
+            d = len(side)
+            hits = (map(side.__contains__, col) for col in cols)
+            types = sorted(set(map(sum, zip(*hits))))
+            if all(max(min(a, d - a), min(r - a, n - d - r + a)) < bits for a in types) and (
+                _typed_count(types, d, n - d, r) == len(edges)
+            ):
+                return Hypergraph(n, r, None, side, tuple(types))
     return Hypergraph(n, r, tuple(edges))
 
 
 def format_hg(graph: Hypergraph) -> str:
-    lines = [f"{graph.n} {graph.r}"]
-    lines.extend(" ".join(str(v) for v in e) for e in graph.edges)
-    return "\n".join(lines) + "\n"
+    """The .hg text of ``graph``: the header, then each edge on its own
+    line, in order.  Edges are written by runs sharing a prefix e[:-1]
+    (_side_runs' runs for a graph given by a side, so no edge tuple is
+    built), each prefix's text made once and each id's from one table."""
+    if graph._side is not None:
+        runs = list(_side_runs(graph.n, graph.r, graph._side, graph._types))
+    else:
+        runs = [
+            (p, [e[-1] for e in group])
+            for p, group in itertools.groupby(graph.edges, key=lambda e: e[:-1])
+        ]
+    ids = itertools.chain.from_iterable(itertools.chain.from_iterable(runs))
+    name = {v: str(v) for v in set(ids)}
+    parts = [f"{graph.n} {graph.r}\n"]
+    for p, tails in runs:
+        head = "".join([name[v] + " " for v in p])
+        parts.append(head + ("\n" + head).join(map(name.__getitem__, tails)) + "\n")
+    return "".join(parts)

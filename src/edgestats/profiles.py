@@ -39,6 +39,11 @@ __all__ = [
 
 DEFAULT_PROFILE_CAP = 10**8
 
+# estimate_point refuses more vertex draws than this over all its samples,
+# a sample of k = 0 counting as one; at a microsecond or two a draw, the
+# cap allows up to about half an hour of drawing.
+MAX_SAMPLE_DRAWS = 10**9
+
 
 @dataclass(frozen=True)
 class EdgeProfile:
@@ -130,12 +135,16 @@ class PointEstimate:
 def estimate_point(graph: Hypergraph, k: int, level: int, samples: int, seed: int) -> PointEstimate:
     """Sample ``samples`` uniform k-subsets (one ordered Fisher-Yates draw
     each, in order) and count those inducing exactly ``level`` edges.
-    Refuses a sample of more than MAX_LISTED_VERTICES vertices."""
+    Refuses a sample of more than MAX_LISTED_VERTICES vertices, or more
+    than MAX_SAMPLE_DRAWS draws over all samples, before the first."""
     if not 0 <= k <= graph.n:
         raise ValueError(f"subset size {k} outside [0..{graph.n}]")
     _check_cap("vertices per sample", k, MAX_LISTED_VERTICES)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    _check_cap(
+        f"draws for {samples} samples of {k} vertices", samples * max(k, 1), MAX_SAMPLE_DRAWS
+    )
     rng = new_generator(seed)
     count = _edge_counter(graph, k)
     hits = 0

@@ -101,6 +101,23 @@ def test_construct_round_trips_through_the_parser(tmp_path, capsys):
     assert graph.edges == ((1, 3), (1, 4), (2, 3), (2, 4))
 
 
+def test_a_split_is_written_and_estimated_without_its_edges(tmp_path, monkeypatch, capsys):
+    """construct split writes its file by runs, building no edge tuple, and
+    estimate reads that file as its side, building no tail index."""
+    graphs = []
+    monkeypatch.setattr(cli, "format_hg", lambda graph: graphs.append(graph) or format_hg(graph))
+    monkeypatch.setattr(cli, "parse_hg", lambda text: graphs.append(parse_hg(text)) or graphs[-1])
+    out = str(tmp_path / "split.hg")
+    argv = ["construct", "split", "--n", "40", "--side", "1 5 9 30", "--r", "3", "--out", out]
+    assert run_cli(argv, capsys)[0] == 0
+    argv = ["estimate", "--input", out, "--k", "8", "--level", "2", "--samples", "50", "--seed", "0"]
+    assert run_cli(argv, capsys)[0] == 0
+    written, read = graphs
+    assert written._edges is None
+    assert (read._side, read._types) == (written._side, written._types)
+    assert read._edges is None and read._tail_index is None
+
+
 def test_construct_lift_is_reproducible(tmp_path, capsys):
     argv = [
         "construct",
@@ -559,6 +576,9 @@ OVERSIZED = [
     "construct lift --n 1000000000000 --k 1000000000000 --s 1000000000000 --r 1000000000000 --seed 0 --out {out}",
     "estimate --input {n_1e8} --k 100000000 --level 0 --samples 1 --seed 0",
     "construct split --n 1000000000000 --side 1 --r 1000000000000 --out {out}",
+    # 10^20 samples, and a coupling of 10^8 pairs past the 20 sign variables
+    "estimate --input {c5} --k 2 --level 1 --samples 100000000000000000000 --seed 0",
+    "coupling-check --input {huge_pair} --sample-k 100000000 --seed 0",
 ]
 
 
@@ -727,6 +747,13 @@ def test_negative_top_is_a_usage_error(c5_path, capsys):
     assert code == 2
     assert out == ""
     assert "--top" in err
+
+
+def test_an_unprintable_report_names_its_field(sweep_inputs, capsys):
+    argv = ["cover", "run", "--input", sweep_inputs["wide_3000"], "--m", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: report field params.step_cap has too many digits to print\n"
 
 
 def test_cover_verify_names_the_missed_edge(c5_path, capsys):

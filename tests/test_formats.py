@@ -1,7 +1,10 @@
 """The .hg and .mlp text formats: a file round-trips through its formatter,
 and a bad record is refused with "line N: " and the very message that
-from_edges or from_terms gives for the same records."""
+from_edges or from_terms gives for the same records.  A .hg file is
+written by runs, byte for byte as the per-edge writer writes it, and one
+holding a graph given by a side is read back as that side."""
 
+import builtins
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,12 +13,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edgestats.hypergraph import format_hg, from_edges, parse_hg
+from edgestats import hypergraph
+from edgestats.hypergraph import (
+    Hypergraph,
+    _canonical_edge,
+    _check_shape,
+    construct_lift,
+    construct_split,
+    format_hg,
+    from_edges,
+    induced_edge_count,
+    parse_hg,
+    random_hypergraph,
+)
 from edgestats.multilinear import MultilinearPoly, format_mlp, parse_mlp
-from edgestats.serialize import format_rational
+from edgestats.serialize import _read_clean, _read_records, format_rational
 
-# Before each record: nothing, a blank line, or a comment line.
-NOISE = st.lists(st.sampled_from([None, "", "# a comment"]), min_size=40, max_size=40)
+# Before each record: nothing, a blank line, or a comment line; or nothing
+# before every record, which makes a clean file.
+NOISE = st.just([None] * 40) | st.lists(
+    st.sampled_from([None, "", "# a comment"]), min_size=40, max_size=40
+)
 
 
 def write(header, records, noise):
@@ -27,6 +45,12 @@ def write(header, records, noise):
         lines.append(record)
         numbers.append(len(lines))
     return "\n".join(lines) + "\n", numbers
+
+
+def format_by_edge(graph):
+    """The per-edge writer, the oracle for format_hg's bytes."""
+    lines = [f"{graph.n} {graph.r}"] + [" ".join(str(v) for v in e) for e in graph.edges]
+    return "\n".join(lines) + "\n"
 
 
 def refusal(call):
@@ -60,7 +84,9 @@ def term_lists(draw):
 def test_an_hg_file_round_trips(case):
     n, r, edges = case
     graph = from_edges(n, r, edges)
-    assert parse_hg(format_hg(graph)) == graph
+    text = format_hg(graph)
+    assert text == format_by_edge(graph)
+    assert parse_hg(text) == graph
 
 
 @given(term_lists())
@@ -109,3 +135,79 @@ def test_a_bad_mlp_record_is_refused_as_from_terms_refuses_it(case, kind, data, 
     pairs = SimpleNamespace(items=lambda: records)
     expected = refusal(lambda: MultilinearPoly.from_terms(n, pairs))
     assert refusal(lambda: parse_mlp(text)) == f"line {numbers[at]}: {expected}"
+
+
+@st.composite
+def described_graphs(draw):
+    """A graph given by a side D and edge types A: any D of [1..n], the
+    empty and the full one included, any A of [0..r], and r up to n + 2."""
+    n = draw(st.integers(0, 8))
+    r = draw(st.integers(1, n + 2))
+    side = draw(st.sets(st.integers(1, n))) if n else set()
+    types = draw(st.sets(st.integers(0, r), min_size=1))
+    return Hypergraph(n, r, None, frozenset(side), tuple(sorted(types)))
+
+
+DESCRIBED = {
+    "split": lambda: construct_split(9, [2, 5, 6], 3),
+    "lift": lambda: construct_lift(10, 4, 1, 3, 1).graph,
+    "r = 1": lambda: construct_split(6, [2, 4], 1),
+    "empty side": lambda: construct_split(6, [], 2),
+    "r > n": lambda: Hypergraph(2, 3, None, frozenset({1}), (1,)),
+}
+
+
+def check_described(graph):
+    text = format_hg(graph)
+    assert graph._edges is None  # written by runs: no edge tuple built
+    assert text == format_by_edge(graph)
+    assert parse_hg(text) == graph
+
+
+@pytest.mark.parametrize("name", DESCRIBED)
+def test_format_hg_writes_a_construction_by_its_runs(name):
+    check_described(DESCRIBED[name]())
+
+
+@given(described_graphs())
+@settings(max_examples=80, deadline=None)
+def test_format_hg_writes_any_described_graph_by_its_runs(graph):
+    check_described(graph)
+
+
+def test_a_split_or_lift_file_is_read_as_its_side():
+    split = construct_split(30, range(4, 12), 3)
+    lift = construct_lift(40, 10, 1, 2, 3).graph
+    for graph in (split, lift):
+        text = format_hg(graph)
+        # Read the same way whether the file is clean or not.
+        for written in (text, "# a comment\n" + text.replace("\n", "\n\n", 5)):
+            parsed = parse_hg(written)
+            assert (parsed._side, parsed._types, parsed._edges) == (graph._side, graph._types, None)
+            assert parsed == graph
+    # A random graph has more than two degree classes.
+    assert parse_hg(format_hg(random_hypergraph(12, 3, Fraction(1, 2), 5)))._side is None
+
+
+def test_a_certified_file_on_a_huge_ground_set_lists_no_vertex_off_its_side(monkeypatch):
+    def short_range(*args):
+        listed = builtins.range(*args)
+        assert listed.stop - listed.start < 10**6, "listed the vertices off the side"
+        return listed
+
+    monkeypatch.setattr(hypergraph, "range", short_range, raising=False)
+    text = "100000000000000000000 2\n1 2\n1 3\n2 3\n"
+    graph = parse_hg(text)
+    assert (graph._side, graph._types) == ({1, 2, 3}, (2,))
+    assert format_hg(graph) == text
+    assert graph.edges == ((1, 2), (1, 3), (2, 3))
+    assert induced_edge_count(graph, [2, 3, 10**19]) == 1
+
+
+def test_the_bulk_reader_and_the_line_reader_accept_the_same_tokens():
+    text = "1_000 +2\n03 +5\n1\t7\n  2   0_9  \n"
+    head, flat = _read_clean(text, "<n> <r>", _check_shape)
+    (n, r), records = _read_records(text, "<n> <r>", _check_shape, _canonical_edge, "edge")
+    assert head == (n, r) == (1000, 2)
+    assert flat == [v for e in records for v in e] == [3, 5, 1, 7, 2, 9]
+    assert parse_hg(text) == from_edges(n, r, records)

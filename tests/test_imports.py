@@ -2,10 +2,13 @@
 imports, every private top-level name is read somewhere in the package,
 every public name of a paper module and every public member of a public
 class is read by the package or allowlisted, and the package re-exports
-the public names of its seven paper modules and nothing else."""
+the public names of its seven paper modules and nothing else.  Importing
+the package and its CLI loads no top-level module beyond a fixed list."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -348,3 +351,35 @@ def test_the_checker_flags_only_hand_written_refusals():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_cap_and_vertex_range_refusal_goes_through_its_helper(path):
     assert hand_written_refusals(path.read_text()) == []
+
+
+# The top-level modules that importing edgestats and edgestats.cli loads
+# into an interpreter started with -I -S (CPython 3.11).  Each import adds
+# start-up time to every command, so a new one is a deliberate change to
+# this list; a Python whose standard library imports differently may
+# need it updated.
+IMPORTED_MODULES = {
+    "__future__", "_ast", "_bisect", "_blake2", "_collections", "_collections_abc", "_decimal",
+    "_functools", "_hashlib", "_json", "_opcode", "_operator", "_random", "_sha512", "_sre",
+    "_stat", "_typing", "_weakrefset", "argparse", "ast", "bisect", "collections", "contextlib",
+    "copy", "copyreg", "dataclasses", "decimal", "dis", "edgestats", "enum", "errno", "fnmatch",
+    "fractions", "functools", "genericpath", "gettext", "hashlib", "importlib", "inspect",
+    "ipaddress", "itertools", "json", "keyword", "linecache", "math", "ntpath", "numbers",
+    "opcode", "operator", "os", "pathlib", "posixpath", "random", "re", "reprlib", "stat",
+    "token", "tokenize", "types", "typing", "urllib", "warnings", "weakref",
+}
+
+
+def test_importing_the_package_loads_only_the_listed_modules():
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import edgestats, edgestats.cli\n"
+        "print('\\n'.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert set(run.stdout.split()) - IMPORTED_MODULES == set()

@@ -148,6 +148,11 @@ CAPS = {
         "vertices per sample = 10000001 exceeds the cap of 10000000",
         (profiles, "sample_ordered"),
     ),
+    "estimate_point-draws": (
+        lambda: estimate_point(from_edges(10, 2, []), 2, 0, 10**9, 0),
+        "draws for 1000000000 samples of 2 vertices = 2000000000 exceeds the cap of 1000000000",
+        (profiles, "_edge_counter"),
+    ),
 }
 
 
