@@ -42,19 +42,15 @@ from .serialize import parse_rational
 __all__ = ["main", "build_parser"]
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _load(path_str: str, parse):
-    path = Path(path_str)
-    return parse(path.read_text()), _digest(path)
+    data = Path(path_str).read_bytes()
+    return parse(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
 
 
 def _write_hg(graph, out: str) -> dict:
-    path = Path(out)
-    path.write_text(format_hg(graph))
-    return {"out": out, "out_digest": _digest(path)}
+    data = format_hg(graph).encode("utf-8")
+    Path(out).write_bytes(data)
+    return {"out": out, "out_digest": hashlib.sha256(data).hexdigest()}
 
 
 def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
@@ -79,9 +75,10 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _unprintable(value, path: str = "") -> str | None:
-    """The path (as ``results.step_cap``) of the first int in a report,
+    """The path (as ``results.step_cap``) of the first number in a report,
     in the order json.dumps writes it, with more digits than Python
-    converts to text; None if there is none."""
+    converts to text (an int, or a rational that serialize._text left
+    as it was); None if there is none."""
     if isinstance(value, dict):
         items = [(f"{path}.{key}" if path else key, v) for key, v in sorted(value.items())]
     elif isinstance(value, (list, tuple)):
@@ -405,8 +402,8 @@ def main(argv: list[str] | None = None) -> int:
         report["command"] = args.report_name
         try:
             text = json.dumps(report, indent=2, sort_keys=True)
-        except ValueError:
-            # An int of more than 4300 digits cannot be printed.
+        except (ValueError, TypeError):
+            # A number of more than 4300 digits cannot be printed.
             field = _unprintable(report)
             if field is None:
                 raise

@@ -29,7 +29,7 @@ from math import comb, perm
 
 from .hypergraph import _CLOSED_FORM_CAP, _check_cap_by_bound
 from .multilinear import _cover_sums
-from .serialize import format_rational
+from .serialize import _text, format_rational
 
 __all__ = [
     "SequenceWeight",
@@ -75,16 +75,16 @@ class DiscrepancyReport:
             "n": self.n,
             "r": self.r,
             "s": self.s,
-            "total": str(self.total),
-            "max_weight": str(self.max_weight),
+            "total": _text(self.total),
+            "max_weight": _text(self.max_weight),
             "sequences_checked": self.sequences_checked,
-            "per_sequence_bound": str(self.per_sequence_bound),
+            "per_sequence_bound": _text(self.per_sequence_bound),
             "normalized": format_rational(self.normalized),
             "normalized_float": repr(float(self.normalized)),
         }
         if self.weights is not None:
             d["heaviest"] = [
-                {"sequence": list(w.sequence), "weight": str(w.weight)}
+                {"sequence": list(w.sequence), "weight": _text(w.weight)}
                 for w in self.heaviest(top)
             ]
         return d

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .rng import bernoulli, new_generator
-from .serialize import _read_clean, _read_records
+from .serialize import _read_records
 
 __all__ = [
     "Hypergraph",
@@ -212,8 +214,8 @@ def _tail_index(graph: Hypergraph) -> dict[Edge, int] | None:
     """The tail index of ``graph``, or None where it would be too large.
 
     It maps each prefix e[:-1] to the bitmask (bit v for vertex v) of the
-    last vertices of the edges that start with it.  One groupby pass over
-    the sorted edges builds it; each run's largest tail is charged to the
+    last vertices of the edges that start with it.  One pass over the
+    runs of ``_runs`` builds it; each run's largest tail is charged to the
     budget before its mask is made.  The result (an index, or False for
     "too large") is cached on the graph like ``edge_set``.
     """
@@ -221,13 +223,12 @@ def _tail_index(graph: Hypergraph) -> dict[Edge, int] | None:
     if cached is None:
         cached = {}
         budget = _TAIL_BITS_PER_EDGE * graph.edge_count
-        for prefix, group in itertools.groupby(graph.edges, key=lambda e: e[:-1]):
-            run = list(group)
-            budget -= run[-1][-1]
+        for prefix, tails in _runs(graph):
+            budget -= tails[-1]
             if budget < 0:
                 cached = False
                 break
-            cached[prefix] = _bitmask([e[-1] for e in run])
+            cached[prefix] = _bitmask(tails)
         object.__setattr__(graph, "_tail_index", cached)
     return cached or None
 
@@ -286,6 +287,18 @@ def _side_runs(
     runs.sort(key=lambda run: run[0])
     for p, pool in runs:
         yield p, pool[bisect_right(pool, p[-1]) :] if p else pool
+
+
+def _runs(graph: Hypergraph) -> Iterator[tuple[Edge, list[int]]]:
+    """The edges of ``graph`` in order, as runs (prefix p, ascending tails):
+    _side_runs' runs for a graph given by a side, so no edge tuple is
+    built, and otherwise its edges grouped by their prefix e[:-1]."""
+    if graph._side is not None:
+        return _side_runs(graph.n, graph.r, graph._side, graph._types)
+    return (
+        (p, [e[-1] for e in group])
+        for p, group in itertools.groupby(graph.edges, key=lambda e: e[:-1])
+    )
 
 
 def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int]:
@@ -584,12 +597,15 @@ def parse_hg(text: str) -> Hypergraph:
     """Parse .hg text, refusing a bad edge as from_edges does, after the
     1-based number of its line.
 
-    A clean text (see serialize._read_clean) is checked in bulk, column by
-    column: ids in [1..n] by their min and max, each column below the
-    next, and no edge repeated after the one sort.  A text that fails any
-    check is read by serialize._read_records, which refuses it with the
-    message and line number it gives any text, so the bulk checks decide
-    only what a clean text means.
+    A clean text, with no '#', no blank line and r ids on every edge line,
+    is checked in one pass over its ids, split and converted as
+    serialize._read_records converts them: ids in [1..n] by their min and
+    max, each column below the next, and each edge below the next one,
+    which also proves the edges distinct.  format_hg writes every file so.
+    Any other text, or one that fails a check, is read by
+    serialize._read_records, which gives the same graph, or refuses it
+    with the message and line number it gives any text; so the bulk checks
+    decide only what a clean text means.
 
     Either way, the graph is then given by a side when one fits: where
     the listed vertices fall into at most two degree classes, each class
@@ -600,54 +616,47 @@ def parse_hg(text: str) -> Hypergraph:
     A term C(N, j) of that count is at least 2^min(j, N - j), so one whose
     bound passes the edge count fails the side without being computed.
     """
-    from collections import Counter
-    from operator import eq, lt
-
-    edges = None
-    clean = _read_clean(text, "<n> <r>", _check_shape)
-    if clean is not None:
-        (n, r), flat = clean
-        cols = [flat[i::r] for i in range(r)] if flat else []
-        if not flat or (
-            1 <= min(flat)
-            and max(flat) <= n
-            and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
-        ):
-            edges = sorted(zip(*cols))
-            if any(map(eq, edges, itertools.islice(edges, 1, None))):
-                edges = None
-    if edges is None:
+    lines = [] if "#" in text else text.splitlines()
+    try:
+        n, r = map(int, lines.pop(0).split())
+        _check_shape(n, r)
+        if set(map(len, map(str.split, lines))) - {r}:
+            raise ValueError("a line without r ids")
+        flat = list(map(int, itertools.chain.from_iterable(map(str.split, lines))))
+    except (ValueError, IndexError):
+        flat = None
+    lines.clear()  # the split lines go before the columns are made
+    cols = [flat[i::r] for i in range(r)] if flat else []
+    if flat is None or not (
+        1 <= min(flat, default=1)
+        and max(flat, default=n) <= n
+        and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
+        and all(map(lt, zip(*cols), itertools.islice(zip(*cols), 1, None)))
+    ):
         (n, r), edges = _read_records(text, "<n> <r>", _check_shape, _canonical_edge, "edge")
-        edges.sort()
-        cols = list(zip(*edges))
+        cols = list(zip(*sorted(edges)))
+    count = len(cols[0]) if cols else 0
     degree = Counter(itertools.chain.from_iterable(cols))
     levels = set(degree.values())
     if len(levels) <= 2:
-        bits = len(edges).bit_length()
+        bits = count.bit_length()
         for level in sorted(levels, reverse=True):
             side = frozenset(v for v, d in degree.items() if d == level)
             d = len(side)
             hits = (map(side.__contains__, col) for col in cols)
             types = sorted(set(map(sum, zip(*hits))))
             if all(max(min(a, d - a), min(r - a, n - d - r + a)) < bits for a in types) and (
-                _typed_count(types, d, n - d, r) == len(edges)
+                _typed_count(types, d, n - d, r) == count
             ):
                 return Hypergraph(n, r, None, side, tuple(types))
-    return Hypergraph(n, r, tuple(edges))
+    return Hypergraph(n, r, tuple(zip(*cols)))
 
 
 def format_hg(graph: Hypergraph) -> str:
     """The .hg text of ``graph``: the header, then each edge on its own
-    line, in order.  Edges are written by runs sharing a prefix e[:-1]
-    (_side_runs' runs for a graph given by a side, so no edge tuple is
-    built), each prefix's text made once and each id's from one table."""
-    if graph._side is not None:
-        runs = list(_side_runs(graph.n, graph.r, graph._side, graph._types))
-    else:
-        runs = [
-            (p, [e[-1] for e in group])
-            for p, group in itertools.groupby(graph.edges, key=lambda e: e[:-1])
-        ]
+    line, in order.  Edges are written by the runs of ``_runs``, each
+    prefix's text made once and each id's from one table."""
+    runs = list(_runs(graph))
     ids = itertools.chain.from_iterable(itertools.chain.from_iterable(runs))
     name = {v: str(v) for v in set(ids)}
     parts = [f"{graph.n} {graph.r}\n"]

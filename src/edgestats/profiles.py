@@ -25,7 +25,7 @@ from .hypergraph import (
 )
 from .multilinear import _subset_transform, _zeta
 from .rng import new_generator, sample_ordered
-from .serialize import format_rational
+from .serialize import _text, format_rational
 
 __all__ = [
     "EdgeProfile",
@@ -67,11 +67,16 @@ class EdgeProfile:
         return {
             "n": self.n,
             "k": self.k,
-            "total": str(self.total),
+            "total": _text(self.total),
             "counts": {
-                str(level): str(mult) for level, mult in sorted(self.counts.items())
+                str(level): _text(mult) for level, mult in sorted(self.counts.items())
             },
         }
+
+
+def _check_subset_size(k: int, n: int) -> None:
+    if not 0 <= k <= n:
+        raise ValueError(f"subset size {k} outside [0..{n}]")
 
 
 def exact_profile(graph: Hypergraph, k: int, *, max_subsets: int = DEFAULT_PROFILE_CAP) -> EdgeProfile:
@@ -81,8 +86,7 @@ def exact_profile(graph: Hypergraph, k: int, *, max_subsets: int = DEFAULT_PROFI
     pool of more than MAX_LISTED_VERTICES vertices; estimate_point is the
     sampling fallback at that scale.
     """
-    if not 0 <= k <= graph.n:
-        raise ValueError(f"subset size {k} outside [0..{graph.n}]")
+    _check_subset_size(k, graph.n)
     _check_cap_by_bound(
         f"max_subsets: C({graph.n},{k}) subsets",
         min(k, graph.n - k),
@@ -137,8 +141,7 @@ def estimate_point(graph: Hypergraph, k: int, level: int, samples: int, seed: in
     each, in order) and count those inducing exactly ``level`` edges.
     Refuses a sample of more than MAX_LISTED_VERTICES vertices, or more
     than MAX_SAMPLE_DRAWS draws over all samples, before the first."""
-    if not 0 <= k <= graph.n:
-        raise ValueError(f"subset size {k} outside [0..{graph.n}]")
+    _check_subset_size(k, graph.n)
     _check_cap("vertices per sample", k, MAX_LISTED_VERTICES)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -217,8 +220,7 @@ def conditional_junta(graph: Hypergraph, k: int, pivot: Iterable[int]) -> JuntaT
     """
     y = _vertices(pivot, graph.n, "pivot")
     _check_cap(f"2^{len(y)} pivot subsets", 1 << len(y), 1 << 20)
-    if not 0 <= k <= graph.n:
-        raise ValueError(f"subset size {k} outside [0..{graph.n}]")
+    _check_subset_size(k, graph.n)
     outside = graph.n - len(y)
     # Edges of trace S share rho = r - |S|; inside[rho][T] counts them over S in T.
     counts: dict[int, dict[tuple[int, ...], int]] = {}

@@ -8,8 +8,6 @@ the first other line is a header of integers, and every later line is a
 record of strictly ascending integer ids, after a label and a colon
 where the format has one.  A repeated record is refused, and every
 refusal of a line starts with its 1-based number, as "line N: ".
-``_read_clean`` reads a clean ``.hg`` text in bulk to the same ids, and
-leaves every other text, and every refusal, to ``_read_records``.
 """
 
 from __future__ import annotations
@@ -22,9 +20,18 @@ __all__ = ["format_rational", "parse_rational"]
 Ids = tuple[int, ...]
 
 
-def format_rational(x: Fraction | int) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+def _text(x: Fraction | int, form: Callable[[Fraction | int], str] = str) -> str | Fraction | int:
+    """``form(x)``, the text a report gives the number x; or, where x has
+    more digits than Python converts to text, x itself, which json.dumps
+    then refuses and the CLI names by its field (cli._unprintable)."""
+    try:
+        return form(x)
+    except ValueError:
+        return x
+
+
+def format_rational(x: Fraction | int) -> str | Fraction:
+    return _text(Fraction(x), lambda f: f"{f.numerator}/{f.denominator}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -90,37 +97,3 @@ def _read_records(
     if head is None:
         raise ValueError(f"empty input: missing '{header}' header line")
     return head, records
-
-
-def _read_clean(
-    text: str, header: str, check_header: Callable[..., None]
-) -> tuple[Ids, list[int]] | None:
-    """The header integers and every record's ids, as one flat list in file
-    order, of a clean text: no '#', no blank line, and each record line
-    holding as many ids as the header's last integer (the .hg rule).
-
-    Tokens are split and converted as ``_read_records`` converts them, so
-    a clean text means the same here; any other text, a token that is not
-    an integer or a header that ``check_header`` refuses gives None, and
-    the caller reads the text with ``_read_records`` instead, which gives
-    each refusal its message.  Nothing is checked per record here.
-    """
-    if "#" in text:
-        return None
-    lines = text.splitlines()
-    try:
-        head = tuple(map(int, lines[0].split())) if lines else ()
-        if len(head) != len(header.split()):
-            return None
-        check_header(*head)
-    except ValueError:
-        return None
-    body = lines[1:]
-    if set(map(len, map(str.split, body))) - {head[-1]}:
-        return None
-    from itertools import chain
-
-    try:
-        return head, list(map(int, chain.from_iterable(map(str.split, body))))
-    except ValueError:
-        return None

@@ -308,6 +308,19 @@ def test_cover_verify_failure_returns_one(tmp_path, capsys):
     assert report["results"]["failing_subset"] == []
 
 
+def test_a_crlf_file_reads_as_its_lf_text_and_is_digested_as_written(c5_path, tmp_path, capsys):
+    data = Path(c5_path).read_bytes().replace(b"\n", b"\r\n")
+    crlf = tmp_path / "crlf.hg"
+    crlf.write_bytes(data)
+    reports = []
+    for path in (c5_path, str(crlf)):
+        code, out, _ = run_cli(["profile", "--input", path, "--k", "3"], capsys)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["results"] == reports[1]["results"]
+    assert reports[1]["input_digest"] == hashlib.sha256(data).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # exit code 2: usage and input errors
 
@@ -582,6 +595,16 @@ OVERSIZED = [
 ]
 
 
+# Reports holding a number of more than 4300 digits, and the field each
+# names: a per-sequence bound of 2^20000, the variance of a coefficient of
+# 10^4000, and a point mass over a denominator of 2^10000 + 1.
+UNPRINTABLE = {
+    "discrepancy --input {two_20000} --s 1": "results.per_sequence_bound",
+    "anticonc moments --input {huge_coefficient} --n 3 --k 2": "results.variance",
+    "anticonc poisson --input {single} --p {long_p} --level 1 --radius 0": "results.binomial_bound",
+}
+
+
 @pytest.fixture
 def sweep_inputs(tmp_path):
     leaves = 1500
@@ -610,8 +633,12 @@ def sweep_inputs(tmp_path):
         "huge_4": "100000000000000000000 4\n",
         "n_1e8": "100000000 2\n",
         "million_quarter": "1000000 250000\n",
+        "two_20000": "2 20000\n",
+        "huge_coefficient": f"3\n{10**4000} : 1 2\n1 : 3\n",
+        "single": "2\n1 : 1\n",
     }
-    paths = {"dir": str(tmp_path), "out": str(tmp_path / "out.hg")}
+    b = 2**10000 + 1
+    paths = {"dir": str(tmp_path), "out": str(tmp_path / "out.hg"), "long_p": f"{b // 3}/{b}"}
     for name, text in texts.items():
         path = tmp_path / name
         path.write_text(text)
@@ -687,6 +714,7 @@ EDGE_CASES = [
     # a report whose default step cap has too many digits to print
     "cover run --input {one_2000} --m 2000",
     "cover run --input {wide_3000} --m 1",
+    *UNPRINTABLE,
     # a 112-digit default step cap, printed
     "cover run --input {hundred_60} --m 1",
     # one draw of 500,000 vertices, under the per-sample cap
@@ -754,6 +782,13 @@ def test_an_unprintable_report_names_its_field(sweep_inputs, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err == "error: report field params.step_cap has too many digits to print\n"
+
+
+@pytest.mark.parametrize("argv", UNPRINTABLE)
+def test_a_number_too_long_to_print_names_its_field(argv, sweep_inputs, capsys):
+    code, out, err = run_cli([word.format(**sweep_inputs) for word in argv.split()], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: report field {UNPRINTABLE[argv]} has too many digits to print\n"
 
 
 def test_cover_verify_names_the_missed_edge(c5_path, capsys):

@@ -2,7 +2,9 @@
 and a bad record is refused with "line N: " and the very message that
 from_edges or from_terms gives for the same records.  A .hg file is
 written by runs, byte for byte as the per-edge writer writes it, and one
-holding a graph given by a side is read back as that side."""
+holding a graph given by a side is read back as that side.  A clean .hg
+text in order is read in bulk, and any other text line by line, to the
+same graph or the same refusal."""
 
 import builtins
 import itertools
@@ -16,8 +18,6 @@ from hypothesis import strategies as st
 from edgestats import hypergraph
 from edgestats.hypergraph import (
     Hypergraph,
-    _canonical_edge,
-    _check_shape,
     construct_lift,
     construct_split,
     format_hg,
@@ -27,7 +27,7 @@ from edgestats.hypergraph import (
     random_hypergraph,
 )
 from edgestats.multilinear import MultilinearPoly, format_mlp, parse_mlp
-from edgestats.serialize import _read_clean, _read_records, format_rational
+from edgestats.serialize import format_rational
 
 # Before each record: nothing, a blank line, or a comment line; or nothing
 # before every record, which makes a clean file.
@@ -204,10 +204,61 @@ def test_a_certified_file_on_a_huge_ground_set_lists_no_vertex_off_its_side(monk
     assert induced_edge_count(graph, [2, 3, 10**19]) == 1
 
 
-def test_the_bulk_reader_and_the_line_reader_accept_the_same_tokens():
-    text = "1_000 +2\n03 +5\n1\t7\n  2   0_9  \n"
-    head, flat = _read_clean(text, "<n> <r>", _check_shape)
-    (n, r), records = _read_records(text, "<n> <r>", _check_shape, _canonical_edge, "edge")
-    assert head == (n, r) == (1000, 2)
-    assert flat == [v for e in records for v in e] == [3, 5, 1, 7, 2, 9]
-    assert parse_hg(text) == from_edges(n, r, records)
+def read(text):
+    """What parse_hg makes of a text: the graph and its side, or the refusal."""
+    try:
+        graph = parse_hg(text)
+    except ValueError as exc:
+        return str(exc)
+    return graph, graph._side, graph._types
+
+
+@given(edge_lists(), st.booleans(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_clean_text_out_of_order_is_read_as_the_line_reader_reads_it(case, repeat, data):
+    n, r, edges = case
+    lines = [" ".join(map(str, e)) for e in edges]
+    if repeat and lines:
+        copy = data.draw(st.sampled_from(lines), label="repeated line")
+        lines.insert(data.draw(st.integers(0, len(lines)), label="position"), copy)
+    else:
+        lines = data.draw(st.permutations(lines), label="order")
+    text = "\n".join([f"{n} {r}", *lines]) + "\n"
+    # A comment makes the text unclean, so it is read line by line.
+    assert read(text) == read(text + "# a comment\n")
+
+
+def test_the_bulk_reader_and_the_line_reader_accept_the_same_tokens(monkeypatch):
+    text = "1_000 +2\n1\t7\n  2   0_9  \n03 +5\n"
+    by_line = parse_hg(text + "# a comment\n")
+    monkeypatch.setattr(hypergraph, "_read_records", None)  # the clean text is read in bulk
+    assert parse_hg(text) == by_line == from_edges(1000, 2, [(1, 7), (2, 9), (3, 5)])
+
+
+def short(builtin, what):
+    """``builtin``, failing the test when given 1000 items or more."""
+
+    def call(*args, **kwargs):
+        out = builtin(*args, **kwargs)
+        assert len(out) < 1000, what
+        return out
+
+    return call
+
+
+def test_the_bulk_reader_neither_sorts_nor_lists_the_edges_of_a_side(monkeypatch):
+    plain = random_hypergraph(30, 3, Fraction(1, 2), 1)
+    split = construct_split(60, range(1, 11), 3)
+    texts = [format_hg(plain), format_hg(split)]
+    assert min(plain.edge_count, split.edge_count) >= 1000
+    monkeypatch.setattr(hypergraph, "sorted", short(builtins.sorted, "sorted the edges"), raising=False)
+    assert parse_hg(texts[0]) == plain
+    monkeypatch.setattr(hypergraph, "tuple", short(builtins.tuple, "listed the edges"), raising=False)
+    parsed = parse_hg(texts[1])
+    assert (parsed._side, parsed._types, parsed._edges) == (split._side, (1,), None)
+
+
+def test_an_edgeless_text_with_a_huge_uniformity_is_read_at_once(monkeypatch):
+    monkeypatch.setattr(hypergraph, "range", short(builtins.range, "one column per r"), raising=False)
+    graph = parse_hg("100000000000000000000 1000000000000\n")
+    assert (graph.n, graph.r, graph.edges) == (10**20, 10**12, ())

@@ -303,3 +303,28 @@ def test_every_vertex_check_refuses_with_one_message(site):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# id -> (the refused call, its whole message)
+SUBSET_SIZES = {
+    "exact_profile": (
+        lambda: exact_profile(from_edges(4, 2, []), 5),
+        "subset size 5 outside [0..4]",
+    ),
+    "estimate_point": (
+        lambda: estimate_point(from_edges(4, 2, []), -1, 0, 1, 0),
+        "subset size -1 outside [0..4]",
+    ),
+    "conditional_junta": (
+        lambda: conditional_junta(from_edges(3, 2, []), 7, [1]),
+        "subset size 7 outside [0..3]",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", SUBSET_SIZES)
+def test_every_subset_size_check_refuses_with_one_message(site):
+    call, message = SUBSET_SIZES[site]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
