@@ -302,8 +302,9 @@ def _runs(graph: Hypergraph) -> Iterator[tuple[Edge, list[int]]]:
 
 
 def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int]:
-    """The induced-count kernel: a function counting the edges of ``graph``
-    inside an ascending sequence of ``size`` vertices.
+    """The induced-count kernel of estimate_point and induced_edge_count: a
+    function counting the edges of ``graph`` inside an ascending sequence
+    of ``size`` vertices, one sequence at a time.
 
     On a graph given by its side D and edge types A, the count inside U
     is the closed form sum over a in A of C(j, a) C(size - j, r - a), with
@@ -602,10 +603,11 @@ def parse_hg(text: str) -> Hypergraph:
     serialize._read_records converts them: ids in [1..n] by their min and
     max, each column below the next, and each edge below the next one,
     which also proves the edges distinct.  format_hg writes every file so.
-    Any other text, or one that fails a check, is read by
-    serialize._read_records, which gives the same graph, or refuses it
-    with the message and line number it gives any text; so the bulk checks
-    decide only what a clean text means.
+    A clean text that fails only the edge order has its edges sorted once
+    and checked strictly in that order.  Any other text, or one that
+    fails a check, is read by serialize._read_records, which gives the
+    same graph, or refuses it with the message and line number it gives
+    any text; so the bulk checks decide only what a clean text means.
 
     Either way, the graph is then given by a side when one fits: where
     the listed vertices fall into at most two degree classes, each class
@@ -627,12 +629,16 @@ def parse_hg(text: str) -> Hypergraph:
         flat = None
     lines.clear()  # the split lines go before the columns are made
     cols = [flat[i::r] for i in range(r)] if flat else []
-    if flat is None or not (
+    clean = flat is not None and (
         1 <= min(flat, default=1)
         and max(flat, default=n) <= n
         and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
-        and all(map(lt, zip(*cols), itertools.islice(zip(*cols), 1, None)))
-    ):
+    )
+    ordered = clean and all(map(lt, zip(*cols), itertools.islice(zip(*cols), 1, None)))
+    if clean and not ordered:
+        cols = list(zip(*sorted(zip(*cols))))
+        ordered = all(map(lt, zip(*cols), itertools.islice(zip(*cols), 1, None)))
+    if not ordered:
         (n, r), edges = _read_records(text, "<n> <r>", _check_shape, _canonical_edge, "edge")
         cols = list(zip(*sorted(edges)))
     count = len(cols[0]) if cols else 0

@@ -9,18 +9,24 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import (
+    _TAIL_BITS_PER_EDGE,
     MAX_LISTED_VERTICES,
+    Edge,
     Hypergraph,
+    _bitmask,
     _check_cap,
     _check_cap_by_bound,
     _edge_counter,
     _trace_groups,
+    _typed_count,
     _vertices,
 )
 from .multilinear import _subset_transform, _zeta
@@ -85,21 +91,192 @@ def exact_profile(graph: Hypergraph, k: int, *, max_subsets: int = DEFAULT_PROFI
     Refuses to enumerate more than ``max_subsets`` subsets, or to list a
     pool of more than MAX_LISTED_VERTICES vertices; estimate_point is the
     sampling fallback at that scale.
+
+    A graph given by its side D and edge types A, or with r = 1, is not
+    walked: its profile is a closed form in |U cap D| (_typed_profile).
+    Any other graph is walked over the smaller of U and its complement,
+    about C(n, min(k, n - k)) steps: see _inside_counts and
+    _outside_counts.  Neither builds an edge set or a tail index.
     """
     _check_subset_size(k, graph.n)
-    _check_cap_by_bound(
+    total = _check_cap_by_bound(
         f"max_subsets: C({graph.n},{k}) subsets",
         min(k, graph.n - k),
         lambda: comb(graph.n, k),
         max_subsets,
     )
     _check_cap("vertices listed", graph.n, MAX_LISTED_VERTICES)
+    n, r, m = graph.n, graph.r, graph.edge_count
+    if graph._side is not None:
+        counts = _typed_profile(n, k, r, len(graph._side), graph._types)
+    elif r == 1:  # the graph whose side is its m edge vertices, of type 1
+        counts = _typed_profile(n, k, 1, m, (1,))
+    elif k < r or not m:
+        counts = {0: total}
+    elif k == n:
+        counts = {m: 1}
+    elif 2 * k <= n:
+        counts = _inside_counts(graph, k)
+    else:
+        counts = _outside_counts(graph, k)
+    return EdgeProfile(n, k, counts, total)
+
+
+def _typed_profile(n: int, k: int, r: int, d: int, types: Sequence[int]) -> dict[int, int]:
+    """The profile of the graph on [1..n] with a side D of d vertices and
+    edge types A: the C(d, j) C(n - d, k - j) k-subsets meeting D in j
+    vertices each span _typed_count(A, j, k - j, r) edges."""
     counts: dict[int, int] = {}
-    count = _edge_counter(graph, k)
-    for u in itertools.combinations(range(1, graph.n + 1), k):
-        c = count(u)
-        counts[c] = counts.get(c, 0) + 1
-    return EdgeProfile(graph.n, k, counts, sum(counts.values()))
+    for j in range(max(0, k - n + d), min(k, d) + 1):
+        level = _typed_count(types, j, k - j, r)
+        counts[level] = counts.get(level, 0) + comb(d, j) * comb(n - d, k - j)
+    return counts
+
+
+class _Tally:
+    """A histogram fed a batch of values at a time, plus extra copies of
+    one base value: the values are counted 4096 at a time by Counter's C
+    loop, not one by one."""
+
+    def __init__(self) -> None:
+        self.hist: Counter[int] = Counter()
+        self.buf: list[int] = []
+
+    def add(self, values: Iterable[int], base: int, extra: int) -> None:
+        self.buf += values
+        if extra:
+            self.hist[base] += extra
+        if len(self.buf) > 4096:
+            self.hist.update(self.buf)
+            self.buf.clear()
+
+    def counts(self) -> dict[int, int]:
+        self.hist.update(self.buf)
+        return dict(self.hist)
+
+
+def _inside_counts(graph: Hypergraph, k: int) -> dict[int, int]:
+    """The profile of a plain graph with 2 <= r <= k <= n/2 and an edge.
+
+    The k-subsets are walked in lexicographic order, with an explicit
+    stack of partial sets P: a vertex b joins P above its members, so
+    the edges it adds are those that end at b with every other vertex in
+    P.  One count per vertex is carried from parent to child: deg[j],
+    the edges ending at ends[j] (the largest vertex of some edge) whose
+    other vertices lie in P.  When b joins, each later end v gains
+    |H[q + (b,), v] & P| over the (r - 3)-subsets q of P, where the head
+    index H maps an edge's middle e[1:-1] and end to the set of first
+    vertices e[0] of the edges sharing them; for r = 2 it maps (e[0],)
+    and the end to {0}, and 0 is always in P.  The additions are undone
+    when b leaves.  A last vertex v completes P with count(P) + deg[v]
+    edges, so each leaf costs one addition on a copy of deg's tail, and
+    the leaves off every end, which add no edge, are counted in bulk.
+
+    The head sets are int masks while their widths sum to at most
+    _TAIL_BITS_PER_EDGE bits an edge, and frozensets otherwise.
+    """
+    n, r, edges = graph.n, graph.r, graph.edges
+    ends = sorted({e[-1] for e in edges})
+    at = {v: j for j, v in enumerate(ends)}
+    heads: dict[tuple[Edge, int], list[int]] = {}
+    for e in edges:
+        key = (e[1:-1] if r > 2 else e[:1], at[e[-1]])
+        heads.setdefault(key, []).append(e[0] if r > 2 else 0)
+    masks = sum(ids[-1] + 1 for ids in heads.values()) <= _TAIL_BITS_PER_EDGE * len(edges)
+    make, size = (_bitmask, int.bit_count) if masks else (frozenset, len)
+    rows: dict[Edge, list[tuple[int, int | frozenset[int]]]] = {}
+    for (middle, j), ids in heads.items():
+        rows.setdefault(middle, []).append((j, make(ids)))
+    heads.clear()
+    deg = [0] * len(ends)
+    tally = _Tally()
+    P: list[int] = []
+    saved: list[tuple] = []
+    pm, cnt, b = make([0]), 0, 1
+    while True:
+        s = len(P)
+        if b > n - k + 1 + s:
+            if not P:
+                break
+            b = P.pop()
+            pm, cnt, undo = saved.pop()
+            for j, x in undo:
+                deg[j] -= x
+            b += 1
+            continue
+        j = at.get(b)
+        c = cnt if j is None else cnt + deg[j]
+        keys = ((b,),) if r <= 3 else [q + (b,) for q in itertools.combinations(P, r - 3)]
+        if s == k - 2:
+            i = bisect_right(ends, b)
+            tail = deg[i:]
+            for key in keys:
+                for j, h in rows.get(key, ()):
+                    tail[j - i] += size(h & pm)
+            tally.add(map(c.__add__, tail), c, n - b - len(tail))
+        else:
+            undo = []
+            for key in keys:
+                for j, h in rows.get(key, ()):
+                    x = size(h & pm)
+                    if x:
+                        deg[j] += x
+                        undo.append((j, x))
+            saved.append((pm, cnt, undo))
+            pm, cnt = pm | make([b]), c
+            P.append(b)
+        b += 1
+    return tally.counts()
+
+
+def _outside_counts(graph: Hypergraph, k: int) -> dict[int, int]:
+    """The profile of a plain graph with 2 <= r, an edge and n/2 < k < n.
+
+    The complements W of the k-subsets U, of size w = n - k, are walked as
+    in _inside_counts; U spans the m edges less those meeting W.  The set
+    of edges meeting P, the union of inc[v] over v in P, where inc[v] is
+    the set of indices of the edges through v, is carried from parent to
+    child; a last vertex v adds inc[v], and the leaves at vertices on no
+    edge, which add nothing, are counted in bulk.  The inc sets are int masks
+    while their widths sum to at most _TAIL_BITS_PER_EDGE bits an edge,
+    and frozensets otherwise.
+    """
+    n, edges, w = graph.n, graph.edges, graph.n - k
+    ids: dict[int, list[int]] = {}
+    for t, e in enumerate(edges):
+        for v in e:
+            ids.setdefault(v, []).append(t)
+    masks = sum(t[-1] + 1 for t in ids.values()) <= _TAIL_BITS_PER_EDGE * len(edges)
+    make, size = (_bitmask, int.bit_count) if masks else (frozenset, len)
+    touched = sorted(ids)
+    inc = {v: make(ids.pop(v)) for v in touched}
+    incs = list(inc.values())
+    tally = _Tally()
+    P: list[int] = []
+    saved: list = []
+    acc = 0 if masks else frozenset()
+    b = 1
+    if w == 1:
+        tally.add(map(size, incs), 0, n - len(incs))
+    while w > 1:
+        s = len(P)
+        if b > n - w + 1 + s:
+            if not P:
+                break
+            b = P.pop() + 1
+            acc = saved.pop()
+            continue
+        x = inc.get(b)
+        a = acc if x is None else acc | x
+        if s == w - 2:
+            i = bisect_right(touched, b)
+            tally.add(map(size, map(a.__or__, incs[i:])), size(a), n - b - len(incs) + i)
+        else:
+            saved.append(acc)
+            acc = a
+            P.append(b)
+        b += 1
+    return {len(edges) - u: c for u, c in tally.counts().items()}
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ and a bad record is refused with "line N: " and the very message that
 from_edges or from_terms gives for the same records.  A .hg file is
 written by runs, byte for byte as the per-edge writer writes it, and one
 holding a graph given by a side is read back as that side.  A clean .hg
-text in order is read in bulk, and any other text line by line, to the
-same graph or the same refusal."""
+text in order is read in bulk, one whose only fault is its edge order
+is sorted once and read in bulk too, and any other text line by line, to
+the same graph or the same refusal."""
 
 import builtins
 import itertools
@@ -27,6 +28,7 @@ from edgestats.hypergraph import (
     random_hypergraph,
 )
 from edgestats.multilinear import MultilinearPoly, format_mlp, parse_mlp
+from edgestats.rng import new_generator, rand_below
 from edgestats.serialize import format_rational
 
 # Before each record: nothing, a blank line, or a comment line; or nothing
@@ -233,6 +235,30 @@ def test_the_bulk_reader_and_the_line_reader_accept_the_same_tokens(monkeypatch)
     by_line = parse_hg(text + "# a comment\n")
     monkeypatch.setattr(hypergraph, "_read_records", None)  # the clean text is read in bulk
     assert parse_hg(text) == by_line == from_edges(1000, 2, [(1, 7), (2, 9), (3, 5)])
+
+
+@pytest.mark.parametrize("kind", ["reversed split", "shuffled plain"])
+def test_a_clean_text_out_of_order_is_sorted_once_and_read_in_bulk(kind, monkeypatch):
+    """A clean text that fails only the edge order is read without the
+    line reader, equal to its ordered text; a split is still its side."""
+    if kind == "reversed split":
+        graph = construct_split(30, range(1, 6), 3)
+        header, *lines = format_hg(graph).splitlines()
+        lines.reverse()
+    else:
+        graph = random_hypergraph(12, 3, Fraction(1, 2), 2)
+        header, *lines = format_hg(graph).splitlines()
+        rng = new_generator(3)
+        lines = [lines.pop(rand_below(rng, len(lines))) for _ in range(len(lines))]
+    text = "\n".join([header, *lines]) + "\n"
+    assert text != format_hg(graph)
+    ordered = parse_hg(format_hg(graph))
+    monkeypatch.setattr(hypergraph, "_read_records", None)
+    parsed = parse_hg(text)
+    if kind == "reversed split":
+        assert (parsed._side, parsed._types, parsed._edges) == (frozenset(range(1, 6)), (1,), None)
+    assert (parsed, parsed._side, parsed._types) == (ordered, ordered._side, ordered._types)
+    assert parsed == graph
 
 
 def short(builtin, what):

@@ -2,6 +2,7 @@
 exact conditional-expectation tables."""
 
 import itertools
+import time
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgestats import hypergraph
+from edgestats import hypergraph, profiles
 from edgestats.hypergraph import (
     _edge_counter,
     construct_lift,
@@ -23,7 +24,13 @@ from edgestats.hypergraph import (
     random_hypergraph,
     split_target_level,
 )
-from edgestats.profiles import JuntaEntry, conditional_junta, estimate_point, exact_profile
+from edgestats.profiles import (
+    EdgeProfile,
+    JuntaEntry,
+    conditional_junta,
+    estimate_point,
+    exact_profile,
+)
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
 
@@ -108,6 +115,69 @@ def test_profile_subsampling_consistency(seed):
     assert {lvl: m * lift for lvl, m in full.counts.items()} == summed
 
 
+def per_subset_profile(graph, k):
+    """The oracle: every k-subset counted one by one by the induced-count
+    kernel, as exact_profile counted before it walked."""
+    counts = {}
+    count = _edge_counter(graph, k)
+    for u in itertools.combinations(range(1, graph.n + 1), k):
+        c = count(u)
+        counts[c] = counts.get(c, 0) + 1
+    return EdgeProfile(graph.n, k, counts, sum(counts.values()))
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(0, 6),
+    st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1)]),
+    st.integers(0, 2**30),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_the_walk_matches_the_per_subset_loop(r, extra, p, seed):
+    """Every k from 0 to n, so both the walk over U (k <= n/2) and the walk
+    over its complement, on graphs with an edge through vertex n."""
+    n = r + extra
+    g = random_hypergraph(n, r, p, seed)
+    g = from_edges(n, r, set(g.edges) | {tuple(range(n - r + 1, n + 1))})
+    walked = [exact_profile(g, k) for k in range(n + 1)]
+    assert g._tail_index is None and g._edge_set is None
+    assert walked == [per_subset_profile(g, k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_the_walk_over_frozensets_matches_the_per_subset_loop(r, seed, monkeypatch):
+    """With no bit budget, the head and incidence sets are frozensets, not
+    masks, and every profile is unchanged."""
+    rng = new_generator(50 * r + seed)
+    n = r + 3 + rand_below(rng, 4)
+    g = random_hypergraph(n, r, Fraction(1 + rand_below(rng, 3), 4), rng)
+    g = from_edges(n, r, set(g.edges) | {tuple(range(n - r + 1, n + 1))})
+    want = [per_subset_profile(g, k) for k in range(n + 1)]
+    monkeypatch.setattr(profiles, "_TAIL_BITS_PER_EDGE", 0)
+    monkeypatch.setattr(profiles, "_bitmask", None)
+    assert [exact_profile(g, k) for k in range(n + 1)] == want
+
+
+@pytest.mark.parametrize("k, want", [(1, {0: 10**7}), (10**7 - 1, {1: 4, 2: 10**7 - 4})])
+def test_a_sparse_graph_on_ten_million_vertices_profiles_at_once(k, want):
+    """At k = 1 no subset spans an edge; at k = n - 1 the walk is over the
+    one vertex left out, and the vertices on no edge are counted in bulk.
+    Nothing n-sized is allocated."""
+    g = from_edges(10**7, 2, [(1, 2), (3, 10**7)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        profile = exact_profile(g, k)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (dict(profile.counts), profile.total) == (want, 10**7)
+    assert elapsed < 0.5
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo point estimates
 
@@ -164,13 +234,14 @@ def test_counting_kernel_at_its_switch_point(n, r, k, extra):
 
     want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
     assert dict(exact_profile(g, k).counts) == want
+    assert g._tail_index is None and g._edge_set is None
+
+    level = max(want, key=want.get)
+    est = estimate_point(g, k, level, 300, seed=5)
     # Only the enumerating strategy builds the tail index, and counting
     # never builds the membership set.
     assert (g._tail_index is not None) == bool(extra)
     assert g._edge_set is None
-
-    level = max(want, key=want.get)
-    est = estimate_point(g, k, level, 300, seed=5)
     replay = new_generator(5)
     assert est.hits == sum(brute(sample_ordered(replay, n, k)) == level for _ in range(300))
 
@@ -193,6 +264,10 @@ def test_tail_index_counts_match_brute_force(r, seed):
     for k in range(n + 1):
         want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
         assert dict(exact_profile(g, k).counts) == want, k
+    assert g._tail_index is None and g._edge_set is None
+    # At size 0 the graph holds more than C(0, r) = 0 edges, so the kernel
+    # enumerates through the tail index, which the counts below reuse.
+    assert induced_edge_count(g, []) == 0
     index = g._tail_index
     assert isinstance(index, dict)
     assert len(index) == len({e[:-1] for e in g.edges})
