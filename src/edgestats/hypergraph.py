@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from operator import lt
+from operator import and_, lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .rng import bernoulli, new_generator
@@ -124,8 +124,9 @@ class Hypergraph:
     The split and s = 1 lift constructions give a side ``_side`` = D and
     its edge types ``_types`` = A (ascending overlaps with D) in place of
     the edges (``_edges`` None): the edges are the r-sets e with
-    |e cap D| in A, built on first read and cached.  Two graphs are equal
-    when n, r and the edges are.
+    |e cap D| in A, built on first read and cached.  ``_tail_index`` is
+    the tail index that counting builds on first use (see _tail_index).
+    Two graphs are equal when n, r and the edges are.
     """
 
     n: int
@@ -133,8 +134,7 @@ class Hypergraph:
     _edges: tuple[Edge, ...] | None = field(repr=False)
     _side: frozenset[int] | None = field(default=None, repr=False)
     _types: tuple[int, ...] | None = field(default=None, repr=False)
-    _tail_index: dict[Edge, int] | bool | None = field(default=None, init=False, repr=False)
-    _edge_set: frozenset[Edge] | None = field(default=None, init=False, repr=False)
+    _tail_index: tuple[dict, Callable, Callable] | None = field(default=None, init=False, repr=False)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -166,14 +166,10 @@ class Hypergraph:
 
     @property
     def edge_set(self) -> frozenset[Edge]:
-        # Built lazily: only membership questions (complement, callers)
-        # need it; counting reads the tail index instead, unless that
-        # index would be too large.
-        cached = object.__getattribute__(self, "_edge_set")
-        if cached is None:
-            cached = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set", cached)
-        return cached
+        """The edges as a set, built anew on each read: only membership
+        questions (``complement``, callers) read it, once a graph;
+        counting reads the tail index instead."""
+        return frozenset(self.edges)
 
     def complement(self) -> "Hypergraph":
         """The r-uniform complement: all r-sets of [1..n] not in self."""
@@ -204,39 +200,42 @@ def from_edges(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     return Hypergraph(n, r, tuple(canon))
 
 
-# The tail index may hold this many mask bits per edge; a mask spans up
-# to its largest tail, so on a sparse graph with a large n the masks
-# would outgrow the edge set that counting probes instead.
+# An index of sets (key -> ids) holds int masks while their widths sum to
+# at most this many bits an edge; a mask spans up to its largest id, so on
+# a sparse graph with a large n the masks would outgrow the frozensets
+# that hold the same ids past the budget.
 _TAIL_BITS_PER_EDGE = 1024
 
 
-def _tail_index(graph: Hypergraph) -> dict[Edge, int] | None:
-    """The tail index of ``graph``, or None where it would be too large.
+def _bitsets(groups: dict, edge_count: int) -> tuple[dict, Callable, Callable]:
+    """The index of ``groups`` (key -> ascending, nonempty ids) with each
+    group made a set of the one kind its widths allow: int masks (bit v
+    for id v) while they sum to at most _TAIL_BITS_PER_EDGE bits for each
+    of ``edge_count`` edges, frozensets past that.  Returns the index and
+    that kind's make (ascending ids -> set) and size functions."""
+    if sum(ids[-1] + 1 for ids in groups.values()) <= _TAIL_BITS_PER_EDGE * edge_count:
+        make, size = _bitmask, int.bit_count
+    else:
+        make, size = frozenset, len
+    return {key: make(ids) for key, ids in groups.items()}, make, size
 
-    It maps each prefix e[:-1] to the bitmask (bit v for vertex v) of the
-    last vertices of the edges that start with it.  One pass over the
-    runs of ``_runs`` builds it; each run's largest tail is charged to the
-    budget before its mask is made.  The result (an index, or False for
-    "too large") is cached on the graph like ``edge_set``.
-    """
+
+def _tail_index(graph: Hypergraph) -> tuple[dict[Edge, int | frozenset[int]], Callable, Callable]:
+    """The tail index of ``graph``, as _bitsets gives it: it maps each
+    prefix e[:-1] to the set of the last vertices of the edges that start
+    with it, grouped by one pass over the runs of ``_runs``.  Cached on
+    the graph."""
     cached = graph._tail_index
     if cached is None:
-        cached = {}
-        budget = _TAIL_BITS_PER_EDGE * graph.edge_count
-        for prefix, tails in _runs(graph):
-            budget -= tails[-1]
-            if budget < 0:
-                cached = False
-                break
-            cached[prefix] = _bitmask(tails)
+        cached = _bitsets(dict(_runs(graph)), graph.edge_count)
         object.__setattr__(graph, "_tail_index", cached)
-    return cached or None
+    return cached
 
 
 def _bitmask(ids: Sequence[int]) -> int:
-    """The mask with bit v for each v of the ascending, nonempty ``ids``,
-    in time linear in the largest id (each ``|=`` would copy the mask)."""
-    bits = bytearray(ids[-1] // 8 + 1)
+    """The mask with bit v for each v of the ascending ``ids``, in time
+    linear in the largest id (each ``|=`` would copy the mask)."""
+    bits = bytearray(ids[-1] // 8 + 1 if ids else 0)
     for v in ids:
         bits[v >> 3] |= 1 << (v & 7)
     return int.from_bytes(bits, "little")
@@ -317,10 +316,11 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
     2^min(r, size - r) <= C(size, r) settles the choice without the
     binomial, which is slow to compute for a large size and r.
     Enumeration reads the tail index: an edge inside U is counted once,
-    at its own prefix, by the popcount of that prefix's mask and U's
-    mask, so C(size, r-1) probes replace C(size, r) membership tests.
-    Where the index would be too large (a sparse graph on very many
-    vertices), it tests the r-subsets against ``edge_set``.
+    at its own prefix, by the size of that prefix's tail set met with U,
+    so C(size, r-1) probes replace C(size, r) membership tests.  The sets
+    are masks, met with U's mask, or frozensets on a graph whose masks
+    would be too large (a sparse graph on very many vertices), met with
+    U's ids as they are, so no set of U is made.
     """
     r = graph.r
     side = graph._side
@@ -342,27 +342,24 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
             uset = frozenset(u)
             return sum(1 for e in edges if uset.issuperset(e))
 
-    elif (index := _tail_index(graph)) is None:
-        members = graph.edge_set
-
-        def count(u: Sequence[int]) -> int:
-            return sum(1 for w in itertools.combinations(u, r) if w in members)
-
     else:
-        tail_mask = index.get
-        top = max(index.values()).bit_length() - 1
+        index, make, set_size = _tail_index(graph)
+        get, masks = index.get, make is not frozenset
+        meet = and_ if masks else frozenset.intersection
+        # An edge inside U ends at a tail of at most ``top``, so U's mask
+        # is made of its ids up to there: the ids above would only widen
+        # it, up to 2^n bits on a graph with a huge n.
+        top = max(index.values()).bit_length() - 1 if masks else None
 
         def count(u: Sequence[int]) -> int:
-            # An edge inside U ends at a tail of at most ``top``, so U is cut
-            # there before its mask is made: the ids above would only widen
-            # the mask, up to 2^n bits on a graph with a huge n.
-            u = u[: bisect_right(u, top)]
-            mask = 0
-            for v in u:
-                mask |= 1 << v
-            return sum(
-                (tail_mask(p, 0) & mask).bit_count() for p in itertools.combinations(u, r - 1)
-            )
+            if masks:
+                us = 0
+                for v in u[: bisect_right(u, top)]:
+                    us |= 1 << v
+            else:
+                us = u
+            tails = map(get, itertools.combinations(u, r - 1))
+            return sum([set_size(meet(t, us)) for t in tails if t])
 
     return count
 
@@ -572,13 +569,17 @@ def construct_split(n: int, side: Iterable[int], r: int) -> Hypergraph:
 def random_hypergraph(n: int, r: int, p: Fraction | int, seed_or_rng) -> Hypergraph:
     """Each r-set of [1..n] kept independently with exact probability p,
     decided in lexicographic order.  Accepts a seed or a live generator;
-    refuses n < 0 and r < 1 as from_edges does."""
+    refuses n < 0 and r < 1 as from_edges does, and p outside [0, 1] as
+    bernoulli does, before any draw (so also where no r-set is drawn)."""
     _check_shape(n, r)
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {p}")
     rng = seed_or_rng if hasattr(seed_or_rng, "getrandbits") else new_generator(seed_or_rng)
     # Listed first: tuple() over the generator grows its tuple by
     # reallocation, which left the peak RSS of a run over 2000 small
     # random graphs about 1 MiB higher.
-    edges = list(_coin_edges(n, r, Fraction(p), rng))
+    edges = list(_coin_edges(n, r, p, rng))
     return Hypergraph(n, r, tuple(edges))
 
 

@@ -17,11 +17,10 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import (
-    _TAIL_BITS_PER_EDGE,
     MAX_LISTED_VERTICES,
     Edge,
     Hypergraph,
-    _bitmask,
+    _bitsets,
     _check_cap,
     _check_cap_by_bound,
     _edge_counter,
@@ -172,8 +171,8 @@ def _inside_counts(graph: Hypergraph, k: int) -> dict[int, int]:
     edges, so each leaf costs one addition on a copy of deg's tail, and
     the leaves off every end, which add no edge, are counted in bulk.
 
-    The head sets are int masks while their widths sum to at most
-    _TAIL_BITS_PER_EDGE bits an edge, and frozensets otherwise.
+    The head sets are made by hypergraph._bitsets: int masks, or
+    frozensets where the masks would be too wide.
     """
     n, r, edges = graph.n, graph.r, graph.edges
     ends = sorted({e[-1] for e in edges})
@@ -182,12 +181,11 @@ def _inside_counts(graph: Hypergraph, k: int) -> dict[int, int]:
     for e in edges:
         key = (e[1:-1] if r > 2 else e[:1], at[e[-1]])
         heads.setdefault(key, []).append(e[0] if r > 2 else 0)
-    masks = sum(ids[-1] + 1 for ids in heads.values()) <= _TAIL_BITS_PER_EDGE * len(edges)
-    make, size = (_bitmask, int.bit_count) if masks else (frozenset, len)
-    rows: dict[Edge, list[tuple[int, int | frozenset[int]]]] = {}
-    for (middle, j), ids in heads.items():
-        rows.setdefault(middle, []).append((j, make(ids)))
+    index, make, size = _bitsets(heads, len(edges))
     heads.clear()
+    rows: dict[Edge, list[tuple[int, int | frozenset[int]]]] = {}
+    for (middle, j), h in index.items():
+        rows.setdefault(middle, []).append((j, h))
     deg = [0] * len(ends)
     tally = _Tally()
     P: list[int] = []
@@ -237,24 +235,22 @@ def _outside_counts(graph: Hypergraph, k: int) -> dict[int, int]:
     of edges meeting P, the union of inc[v] over v in P, where inc[v] is
     the set of indices of the edges through v, is carried from parent to
     child; a last vertex v adds inc[v], and the leaves at vertices on no
-    edge, which add nothing, are counted in bulk.  The inc sets are int masks
-    while their widths sum to at most _TAIL_BITS_PER_EDGE bits an edge,
-    and frozensets otherwise.
+    edge, which add nothing, are counted in bulk.  The inc sets are made
+    by hypergraph._bitsets, as the head sets of _inside_counts are.
     """
     n, edges, w = graph.n, graph.edges, graph.n - k
     ids: dict[int, list[int]] = {}
     for t, e in enumerate(edges):
         for v in e:
             ids.setdefault(v, []).append(t)
-    masks = sum(t[-1] + 1 for t in ids.values()) <= _TAIL_BITS_PER_EDGE * len(edges)
-    make, size = (_bitmask, int.bit_count) if masks else (frozenset, len)
-    touched = sorted(ids)
-    inc = {v: make(ids.pop(v)) for v in touched}
+    inc, make, size = _bitsets(dict(sorted(ids.items())), len(edges))
+    ids.clear()
+    touched = list(inc)
     incs = list(inc.values())
     tally = _Tally()
     P: list[int] = []
     saved: list = []
-    acc = 0 if masks else frozenset()
+    acc = make(())
     b = 1
     if w == 1:
         tally.add(map(size, incs), 0, n - len(incs))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestats.hypergraph import (
+    Hypergraph,
     _side_runs,
     _tail_index,
     construct_lift,
@@ -281,9 +282,9 @@ def assert_split_matches_oracle(n, side, r):
     reference = from_edges(n, r, oracle)
     g = construct_split(n, side, r)
     assert g.edge_count == len(oracle)
-    index = _tail_index(g)
-    assert index == _tail_index(reference)
-    assert index is None or list(index) == sorted(index)
+    index, make, size = _tail_index(g)
+    assert (index, make, size) == _tail_index(reference)
+    assert list(index) == sorted(index)
     assert g.edges == tuple(oracle)
     assert g == reference and hash(g) == hash(reference)
 
@@ -320,13 +321,18 @@ def test_split_graph_matches_the_oracle_on_random_shapes(seed):
     assert_split_matches_oracle(n, side, r)
 
 
-def test_a_split_graph_builds_its_edges_only_when_read():
+def test_a_split_graph_builds_its_edges_only_when_read(monkeypatch):
     """The construction stores the side and its one edge type: the edge
     count is their closed form, and the edges are built on first read,
-    once."""
+    once.  None of it reads the edge set."""
+
+    def refuse(*args):
+        raise AssertionError("the edge set was built")
+
+    monkeypatch.setattr(Hypergraph, "edge_set", property(refuse))
     g = construct_split(30, range(1, 6), 3)
     assert g.edge_count == 5 * 300
-    assert g._edges is None and g._tail_index is None and g._edge_set is None
+    assert g._edges is None and g._tail_index is None
     assert g.edges is g.edges
     assert len(g.edges) == g.edge_count
     assert repr(g) == "Hypergraph(n=30, r=3)"
@@ -366,8 +372,9 @@ def test_every_listed_prefix_of_a_constructed_graph_takes_a_tail(build):
 
 def test_split_graph_past_the_tail_budget_keeps_its_edges_and_no_index():
     """Each of the 4,999 prefixes (v,) would need a 5000-bit mask for the
-    tail 5000: past the budget, so no mask is made.  The construction
-    itself builds nothing, and its counts need neither."""
+    tail 5000: past the budget, so no mask is made and the tail index
+    holds frozensets.  The construction itself builds nothing, and its
+    counts need neither."""
     n = 5000
     tracemalloc.start()
     try:
@@ -376,11 +383,13 @@ def test_split_graph_past_the_tail_budget_keeps_its_edges_and_no_index():
     finally:
         tracemalloc.stop()
     assert peak < n * n // 8 // 2  # half of the masks' n^2 bits
-    assert _tail_index(g) is None
+    index, make, size = _tail_index(g)
+    assert (make, size) == (frozenset, len)
+    assert index == {(v,): frozenset([n]) for v in range(1, n)}
     assert g.edges == tuple((v, n) for v in range(1, n))
     assert g == from_edges(n, 2, split_oracle(n, [n], 2))
     assert induced_edge_count(g, [1, 2, 3, n - 1, n]) == 4
-    assert g._tail_index is False
+    assert g._tail_index[0] is index
 
 
 @pytest.mark.parametrize("side, r", [((), 0), ((), -3), ((1, 2), 0), ((1,), -1)])
@@ -421,6 +430,17 @@ def test_parse_bad_header_names_line():
 def test_random_hypergraph_probability_extremes():
     assert random_hypergraph(6, 2, 0, seed_or_rng=5).edge_count == 0
     assert random_hypergraph(6, 2, 1, seed_or_rng=5).edge_count == 15
+
+
+@pytest.mark.parametrize("n, r, p", [(2, 3, Fraction(3, 2)), (0, 1, 7), (4, 3, Fraction(3, 2)), (5, 2, -1)])
+def test_random_hypergraph_refuses_a_rate_outside_the_unit_interval_before_drawing(n, r, p):
+    """Also where no r-set would be drawn (r > n, or n = 0); the generator
+    is left untouched."""
+    rng = new_generator(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=re.escape(f"Bernoulli parameter must lie in [0, 1], got {p}")):
+        random_hypergraph(n, r, p, rng)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,13 @@
 imports, every private top-level name is read somewhere in the package,
 every public name of a paper module and every public member of a public
 class is read by the package or allowlisted, and the package re-exports
-the public names of its seven paper modules and nothing else.  Importing
+the public names of its seven paper modules and nothing else.  Only
+hypergraph.py names the bit budget of an index of id sets.  Importing
 the package and its CLI loads no top-level module beyond a fixed list."""
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -351,6 +353,19 @@ def test_the_checker_flags_only_hand_written_refusals():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_cap_and_vertex_range_refusal_goes_through_its_helper(path):
     assert hand_written_refusals(path.read_text()) == []
+
+
+# The one place that chooses between int masks and frozensets for an index
+# of id sets is hypergraph._bitsets, so only hypergraph.py names its bit
+# budget and its mask maker.
+BITSET_NAMES = re.compile(r"\b(_TAIL_BITS_PER_EDGE|_bitmask)\b")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "hypergraph.py"}), ids=lambda p: p.name
+)
+def test_only_hypergraph_names_the_bit_budget_and_the_mask_maker(path):
+    assert BITSET_NAMES.findall(path.read_text()) == []
 
 
 # The top-level modules that importing edgestats and edgestats.cli loads

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgestats import hypergraph, profiles
+from edgestats import hypergraph
 from edgestats.hypergraph import (
+    Hypergraph,
     _edge_counter,
     construct_lift,
     construct_split,
@@ -32,6 +33,16 @@ from edgestats.profiles import (
     exact_profile,
 )
 from edgestats.rng import new_generator, rand_below, sample_ordered
+
+
+def refuse_edge_set(patch):
+    """Make every read of Hypergraph.edge_set fail, through ``patch`` (a
+    pytest MonkeyPatch): counting and profiling never read it."""
+
+    def refuse(*args):
+        raise AssertionError("the edge set was built")
+
+    patch.setattr(Hypergraph, "edge_set", property(refuse))
 
 
 def c5():
@@ -139,8 +150,10 @@ def test_the_walk_matches_the_per_subset_loop(r, extra, p, seed):
     n = r + extra
     g = random_hypergraph(n, r, p, seed)
     g = from_edges(n, r, set(g.edges) | {tuple(range(n - r + 1, n + 1))})
-    walked = [exact_profile(g, k) for k in range(n + 1)]
-    assert g._tail_index is None and g._edge_set is None
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_edge_set(patch)
+        walked = [exact_profile(g, k) for k in range(n + 1)]
+    assert g._tail_index is None
     assert walked == [per_subset_profile(g, k) for k in range(n + 1)]
 
 
@@ -154,8 +167,8 @@ def test_the_walk_over_frozensets_matches_the_per_subset_loop(r, seed, monkeypat
     g = random_hypergraph(n, r, Fraction(1 + rand_below(rng, 3), 4), rng)
     g = from_edges(n, r, set(g.edges) | {tuple(range(n - r + 1, n + 1))})
     want = [per_subset_profile(g, k) for k in range(n + 1)]
-    monkeypatch.setattr(profiles, "_TAIL_BITS_PER_EDGE", 0)
-    monkeypatch.setattr(profiles, "_bitmask", None)
+    monkeypatch.setattr(hypergraph, "_TAIL_BITS_PER_EDGE", 0)
+    monkeypatch.setattr(hypergraph, "_bitmask", None)
     assert [exact_profile(g, k) for k in range(n + 1)] == want
 
 
@@ -220,7 +233,7 @@ def test_estimate_convergence_battery():
 
 @pytest.mark.parametrize("n, r, k", [(7, 2, 4), (7, 3, 5)])
 @pytest.mark.parametrize("extra", [0, 1])
-def test_counting_kernel_at_its_switch_point(n, r, k, extra):
+def test_counting_kernel_at_its_switch_point(n, r, k, extra, monkeypatch):
     """A graph with C(k, r) edges is counted by scanning its edge list,
     one edge more switches to probing the tail index; both strategies
     agree with brute force in profiles and in seeded estimates."""
@@ -233,22 +246,22 @@ def test_counting_kernel_at_its_switch_point(n, r, k, extra):
         return sum(1 for e in edges if set(e) <= set(u))
 
     want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
+    # Counting never builds the membership set.
+    refuse_edge_set(monkeypatch)
     assert dict(exact_profile(g, k).counts) == want
-    assert g._tail_index is None and g._edge_set is None
+    assert g._tail_index is None
 
     level = max(want, key=want.get)
     est = estimate_point(g, k, level, 300, seed=5)
-    # Only the enumerating strategy builds the tail index, and counting
-    # never builds the membership set.
+    # Only the enumerating strategy builds the tail index.
     assert (g._tail_index is not None) == bool(extra)
-    assert g._edge_set is None
     replay = new_generator(5)
     assert est.hits == sum(brute(sample_ordered(replay, n, k)) == level for _ in range(300))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", range(4))
-def test_tail_index_counts_match_brute_force(r, seed):
+def test_tail_index_counts_match_brute_force(r, seed, monkeypatch):
     """Every subset's count and every profile agree with brute force, on
     random graphs that always hold an edge through vertex n (the highest
     bit) and, for r = 1, index every edge under the empty prefix."""
@@ -261,22 +274,52 @@ def test_tail_index_counts_match_brute_force(r, seed):
     def brute(u):
         return sum(1 for e in g.edges if set(e) <= set(u))
 
+    refuse_edge_set(monkeypatch)
     for k in range(n + 1):
         want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
         assert dict(exact_profile(g, k).counts) == want, k
-    assert g._tail_index is None and g._edge_set is None
+    assert g._tail_index is None
     # At size 0 the graph holds more than C(0, r) = 0 edges, so the kernel
     # enumerates through the tail index, which the counts below reuse.
     assert induced_edge_count(g, []) == 0
-    index = g._tail_index
-    assert isinstance(index, dict)
+    index, make, size = g._tail_index
+    assert size is int.bit_count
     assert len(index) == len({e[:-1] for e in g.edges})
     assert sum(mask.bit_count() for mask in index.values()) == g.edge_count
     for k in range(n + 1):
         for u in itertools.combinations(range(1, n + 1), k):
             assert induced_edge_count(g, reversed(u)) == brute(u), u
-    assert g._tail_index is index
-    assert g._edge_set is None
+    assert g._tail_index[0] is index
+
+
+@pytest.mark.parametrize("budget", [hypergraph._TAIL_BITS_PER_EDGE, 0])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_tail_index_as_masks_or_frozensets_counts_as_brute_force(r, budget, monkeypatch):
+    """With the bit budget as it is the tail index holds masks, and with
+    none it holds frozensets; either way every subset's count and a seeded
+    estimate at every size agree with brute force, and the edge set is
+    never read."""
+    monkeypatch.setattr(hypergraph, "_TAIL_BITS_PER_EDGE", budget)
+    refuse_edge_set(monkeypatch)
+    rng = new_generator(70 + r)
+    n = r + 4 + rand_below(rng, 3)
+    g = random_hypergraph(n, r, Fraction(1, 2), rng)
+    g = from_edges(n, r, set(g.edges) | {tuple(range(n - r + 1, n + 1))})
+
+    def brute(u):
+        return sum(1 for e in g.edges if set(e) <= set(u))
+
+    assert induced_edge_count(g, []) == 0
+    assert g._tail_index[2] is (int.bit_count if budget else len)
+    for k in range(n + 1):
+        want = Counter()
+        for u in itertools.combinations(range(1, n + 1), k):
+            want[brute(u)] += 1
+            assert induced_edge_count(g, u) == brute(u), u
+        level = max(want, key=want.get)
+        est = estimate_point(g, k, level, 100, seed=k)
+        replay = new_generator(k)
+        assert est.hits == sum(brute(sample_ordered(replay, n, k)) == level for _ in range(100))
 
 
 @pytest.mark.parametrize(
@@ -288,10 +331,11 @@ def test_tail_index_counts_match_brute_force(r, seed):
         [*itertools.combinations(range(1, 11), 2), (10, 10**6)],
     ],
 )
-def test_sparse_graph_on_a_million_vertices_counts_without_the_index(edges):
-    """A graph whose masks would span a million bits is counted by edge-set
-    probes: no index is kept, nothing n-sized is allocated, and counts and
-    seeded estimates agree with brute force."""
+def test_sparse_graph_on_a_million_vertices_counts_without_the_index(edges, monkeypatch):
+    """A graph whose masks would span a million bits is counted through a
+    tail index of frozensets: no mask is made, nothing n-sized is
+    allocated, the edge set is never read, and counts and seeded estimates
+    agree with brute force."""
     n, k = 10**6, 5
     g = from_edges(n, 2, edges)
     assert g.edge_count > comb(k, 2)
@@ -302,6 +346,7 @@ def test_sparse_graph_on_a_million_vertices_counts_without_the_index(edges):
     rng = new_generator(9)
     subsets = [sample_ordered(rng, n, k) for _ in range(50)]
     subsets += [sorted({e[0] for e in edges[:3]} | {e[1] for e in edges[:2]})]
+    refuse_edge_set(monkeypatch)
     tracemalloc.start()
     try:
         for u in subsets:
@@ -311,7 +356,9 @@ def test_sparse_graph_on_a_million_vertices_counts_without_the_index(edges):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert g._tail_index is False
+    index, make, size = g._tail_index
+    assert (make, size) == (frozenset, len)
+    assert sum(map(len, index.values())) == len(edges)
     replay = new_generator(3)
     assert est.hits == sum(brute(sample_ordered(replay, n, k)) == 0 for _ in range(200))
 
@@ -335,7 +382,8 @@ def test_ids_above_the_largest_tail_never_enter_a_mask(n, k, level):
     subsets += [[1, 2, 30, 31, n], [2, 3, 4, n - 1, n], [n]]
     for u in subsets:
         assert induced_edge_count(g, u) == scan(u), u
-    assert isinstance(g._tail_index, dict)
+    index, make, size = g._tail_index
+    assert size is int.bit_count
     est = estimate_point(g, k, level, 200, seed=4)
     replay = new_generator(4)
     assert est.hits == sum(scan(sample_ordered(replay, n, k)) == level for _ in range(200))
@@ -364,13 +412,14 @@ def test_an_index_born_split_graph_counts_as_its_edge_list(n, side, k):
     assert estimate_point(g, k, 2, 300, seed=8) == estimate_point(oracle, k, 2, 300, seed=8)
 
 
-def test_estimating_on_a_split_graph_leaves_its_edge_tuples_unbuilt():
+def test_estimating_on_a_split_graph_leaves_its_edge_tuples_unbuilt(monkeypatch):
     """Counting reads only the side and edge type the split construction
     stores: the edge tuples, the edge set and the tail index are never
     built."""
     g = construct_split(60, range(1, 16), 3)
+    refuse_edge_set(monkeypatch)
     est = estimate_point(g, 8, 30, 2000, seed=6)
-    assert g._edges is None and g._edge_set is None and g._tail_index is None
+    assert g._edges is None and g._tail_index is None
     rest = range(16, 61)
     oracle = from_edges(60, 3, [(v, *t) for v in range(1, 16) for t in itertools.combinations(rest, 2)])
     assert est == estimate_point(oracle, 8, 30, 2000, seed=6)
@@ -469,17 +518,19 @@ def test_a_side_profile_makes_no_probe_count(monkeypatch):
         return bisect_right(*args)
 
     monkeypatch.setattr(hypergraph, "bisect_right", counted)
+    refuse_edge_set(monkeypatch)
     assert exact_profile(g, 5) == want
     assert calls == []
-    assert g._edges is None and g._edge_set is None and g._tail_index is None
+    assert g._edges is None and g._tail_index is None
 
 
-def test_counting_on_an_s1_lift_builds_no_edges():
+def test_counting_on_an_s1_lift_builds_no_edges(monkeypatch):
     """Criterion 5's lift (about 195k edges) is counted, profiled and
     estimated on from its base vertices alone: no edge, edge set or tail
     index is built, and the counts are the closed form C(k, 2) - C(k - j, 2)."""
     g = construct_lift(2000, 20, 1, 2, 55).graph
     side = sorted(g._side)
+    refuse_edge_set(monkeypatch)
     count = _edge_counter(g, 20)
     for j in (0, 1, 5, 20):
         u = sorted(side[:j] + [v for v in range(1, 2001) if v not in g._side][: 20 - j])
@@ -488,7 +539,7 @@ def test_counting_on_an_s1_lift_builds_no_edges():
     exact_profile(small, 5)
     estimate_point(g, 20, 19, 500, seed=56)
     for graph in (g, small):
-        assert graph._edges is None and graph._edge_set is None and graph._tail_index is None
+        assert graph._edges is None and graph._tail_index is None
 
 
 # ---------------------------------------------------------------------------

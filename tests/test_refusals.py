@@ -67,9 +67,9 @@ CAPS = {
         (hypergraph, "itertools"),
     ),
     "exact_profile": (
-        lambda: exact_profile(from_edges(40, 2, []), 20, max_subsets=1000),
+        lambda: exact_profile(from_edges(40, 2, [(1, 2)]), 20, max_subsets=1000),
         "max_subsets: C(40,20) subsets = 137846528820 exceeds the cap of 1000",
-        (profiles, "_edge_counter"),
+        (profiles, "_inside_counts"),
     ),
     "conditional_junta": (
         lambda: conditional_junta(from_edges(21, 2, []), 2, range(1, 22)),
@@ -129,9 +129,9 @@ CAPS = {
         (anticonc, "comb"),
     ),
     "exact_profile-vertices": (
-        lambda: exact_profile(from_edges(10**7 + 1, 2, []), 0),
+        lambda: exact_profile(from_edges(10**7 + 1, 2, [(1, 2)]), 10**7),
         "vertices listed = 10000001 exceeds the cap of 10000000",
-        (profiles, "_edge_counter"),
+        (profiles, "_outside_counts"),
     ),
     "construct_lift-vertices": (
         lambda: construct_lift(10**7 + 1, 10**7 + 1, 10**7 + 1, 10**7 + 1, 0),
