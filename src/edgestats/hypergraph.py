@@ -20,10 +20,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from operator import and_, lt
+from operator import lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .rng import bernoulli, new_generator
+from .rng import new_generator
 from .serialize import _read_records
 
 __all__ = [
@@ -300,30 +300,40 @@ def _runs(graph: Hypergraph) -> Iterator[tuple[Edge, list[int]]]:
     )
 
 
-def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int]:
+def _edge_counter(graph: Hypergraph, size: int, *, once: bool = False) -> Callable[[Sequence[int]], int]:
     """The induced-count kernel of estimate_point and induced_edge_count: a
-    function counting the edges of ``graph`` inside an ascending sequence
-    of ``size`` vertices, one sequence at a time.
+    function counting the edges of ``graph`` inside a sequence of ``size``
+    distinct vertices, in any order, one sequence at a time.  Only the
+    tail branch needs the order: it sorts a list in place (estimate_point
+    discards each sample after counting it) and copies any other sequence.
 
     On a graph given by its side D and edge types A, the count inside U
     is the closed form sum over a in A of C(j, a) C(size - j, r - a), with
     j = |U cap D|; each j's value is computed on first use.  No edge is
     read.
 
-    On any other graph it picks the cheaper exact strategy once: scan the
-    edge list when it holds at most C(size, r) edges, otherwise enumerate
-    subsets of the sequence.  An edge count below
-    2^min(r, size - r) <= C(size, r) settles the choice without the
-    binomial, which is slow to compute for a large size and r.
-    Enumeration reads the tail index: an edge inside U is counted once,
-    at its own prefix, by the size of that prefix's tail set met with U,
-    so C(size, r-1) probes replace C(size, r) membership tests.  The sets
-    are masks, met with U's mask, or frozensets on a graph whose masks
-    would be too large (a sparse graph on very many vertices), met with
-    U's ids as they are, so no set of U is made.
+    On any other graph with m edges it picks one exact strategy once:
+
+    - m > C(size, r): enumerate the (r-1)-subsets of U through the tail
+      index (_tail_index), so C(size, r-1) probes replace C(size, r)
+      membership tests.  An edge inside U is counted once, at its own
+      prefix, by the size of that prefix's tail set met with U;
+    - otherwise, size <= m: the positional sets of _position_counter, at
+      most r * size lookups and no test of an edge, unless ``once`` says
+      that one sequence is counted: building the sets costs more than
+      one scan, so a single count scans;
+    - otherwise (size > m): scan the edge list, m subset tests.
+
+    An edge count below 2^min(r, size - r) <= C(size, r) settles the
+    first choice without the binomial, which is slow to compute for a
+    large size and r.  The tail sets are masks, met with U's mask, or
+    frozensets on a graph whose masks would be too large (a sparse graph
+    on very many vertices), met with U's ids as they are, so no set of U
+    is made.
     """
     r = graph.r
     side = graph._side
+    m = graph.edge_count
     if side is not None:
         types = graph._types
         table: list[int | None] = [None] * (size + 1)
@@ -335,7 +345,9 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
                 c = table[j] = _typed_count(types, j, size - j, r)
             return c
 
-    elif graph.edge_count.bit_length() <= min(r, size - r) or graph.edge_count <= comb(size, r):
+    elif m.bit_length() <= min(r, size - r) or m <= comb(size, r):
+        if size <= m and not once:
+            return _position_counter(graph)
         edges = graph.edges
 
         def count(u: Sequence[int]) -> int:
@@ -343,23 +355,75 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[Sequence[int]], int
             return sum(1 for e in edges if uset.issuperset(e))
 
     else:
-        index, make, set_size = _tail_index(graph)
-        get, masks = index.get, make is not frozenset
-        meet = and_ if masks else frozenset.intersection
-        # An edge inside U ends at a tail of at most ``top``, so U's mask
-        # is made of its ids up to there: the ids above would only widen
-        # it, up to 2^n bits on a graph with a huge n.
-        top = max(index.values()).bit_length() - 1 if masks else None
+        index, make, _ = _tail_index(graph)
+        get = index.get
+        if make is frozenset:
 
-        def count(u: Sequence[int]) -> int:
-            if masks:
+            def count(u: Sequence[int]) -> int:
+                if type(u) is list:
+                    u.sort()
+                else:
+                    u = sorted(u)
+                tails = map(get, itertools.combinations(u, r - 1))
+                return sum([len(t.intersection(u)) for t in tails if t])
+
+        else:
+            # An edge inside U ends at a tail of at most ``top``, so U's
+            # mask is made of its ids up to there: the ids above would only
+            # widen it, up to 2^n bits on a graph with a huge n.
+            top = max(index.values()).bit_length() - 1
+
+            def count(u: Sequence[int]) -> int:
+                if type(u) is list:
+                    u.sort()
+                else:
+                    u = sorted(u)
                 us = 0
                 for v in u[: bisect_right(u, top)]:
                     us |= 1 << v
-            else:
-                us = u
-            tails = map(get, itertools.combinations(u, r - 1))
-            return sum([set_size(meet(t, us)) for t in tails if t])
+                tails = map(get, itertools.combinations(u, r - 1))
+                return sum([(t & us).bit_count() for t in tails if t])
+
+    return count
+
+
+def _position_counter(graph: Hypergraph) -> Callable[[Sequence[int]], int]:
+    """A function counting the edges of a plain ``graph`` inside U, one
+    sequence at a time, by positional sets.
+
+    With the edges numbered t = 0..m-1 in order, pos[i][v] is the set of
+    the t whose edge has v as its i-th vertex.  An edge lies inside U
+    exactly when each of its vertices does, so the count is the size of
+    the meet over the positions i of the union of pos[i][v] over v in U;
+    the loop stops at the first empty meet.  A count reads at most r |U|
+    sets and never a vertex outside U.  The sets of all r positions are
+    made by one _bitsets call, so they are all masks or all frozensets,
+    and each position keeps its own dict.  The sets of one position are
+    disjoint, so a union of masks is their sum; a union of frozensets is
+    taken in one call, as a repeated ``|=`` would copy the growing set.
+    Built anew on each call, not cached on the graph.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for t, e in enumerate(graph.edges):
+        for i, v in enumerate(e):
+            groups.setdefault((i, v), []).append(t)
+    index, make, size = _bitsets(groups, graph.edge_count)
+    groups.clear()
+    pos: list[dict] = [{} for _ in range(graph.r)]
+    for (i, v), s in index.items():
+        pos[i][v] = s
+    first, *rest = [p.get for p in pos]
+    empty = make(())
+    blanks = itertools.repeat(empty)
+    union = sum if make is not frozenset else lambda sets: empty.union(*sets)
+
+    def count(u: Sequence[int]) -> int:
+        acc = union(map(first, u, blanks))
+        for get in rest:
+            if not acc:
+                return 0
+            acc &= union(map(get, u, blanks))
+        return size(acc)
 
     return count
 
@@ -379,7 +443,7 @@ def _trace_groups(graph: Hypergraph, y: frozenset[int]) -> dict[Edge, set[frozen
 def induced_edge_count(graph: Hypergraph, subset: Iterable[int]) -> int:
     """Number of edges of ``graph`` contained in ``subset``."""
     u = _vertices(subset, graph.n, "subset")
-    return _edge_counter(graph, len(u))(u)
+    return _edge_counter(graph, len(u), once=True)(u)
 
 
 def _as_edge_tuples(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> list[Edge]:
@@ -586,8 +650,20 @@ def random_hypergraph(n: int, r: int, p: Fraction | int, seed_or_rng) -> Hypergr
 def _coin_edges(n: int, r: int, p: Fraction, rng) -> Iterator[Edge]:
     """The r-sets of [1..n] kept by one exact Bernoulli(p) coin each, drawn
     in lexicographic order: the one draw order of random_hypergraph and
-    of the lift's base."""
-    return (w for w in itertools.combinations(range(1, n + 1), r) if bernoulli(rng, p))
+    of the lift's base.  Each coin makes rng.bernoulli's draws, with its
+    rejection loop inline: getrandbits(b) for den's bit length b until a
+    value below den, kept when below num; p = 0 draws nothing."""
+    num, den = p.numerator, p.denominator
+    if not num:
+        return
+    bits = den.bit_length()
+    getrandbits = rng.getrandbits
+    for w in itertools.combinations(range(1, n + 1), r):
+        x = getrandbits(bits)
+        while x >= den:
+            x = getrandbits(bits)
+        if x < num:
+            yield w
 
 
 # ---------------------------------------------------------------------------

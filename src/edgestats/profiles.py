@@ -325,9 +325,7 @@ def estimate_point(graph: Hypergraph, k: int, level: int, samples: int, seed: in
     count = _edge_counter(graph, k)
     hits = 0
     for _ in range(samples):
-        u = sample_ordered(rng, graph.n, k)
-        u.sort()
-        if count(u) == level:
+        if count(sample_ordered(rng, graph.n, k)) == level:
             hits += 1
     return PointEstimate(graph.n, k, level, samples, hits, seed)
 

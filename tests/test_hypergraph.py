@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from edgestats.hypergraph import (
     Hypergraph,
+    _coin_edges,
     _side_runs,
     _tail_index,
     construct_lift,
@@ -28,7 +30,7 @@ from edgestats.hypergraph import (
     random_hypergraph,
     split_target_level,
 )
-from edgestats.rng import new_generator, rand_below, sample_ordered
+from edgestats.rng import bernoulli, new_generator, rand_below, sample_ordered
 
 
 def k4():
@@ -430,6 +432,33 @@ def test_parse_bad_header_names_line():
 def test_random_hypergraph_probability_extremes():
     assert random_hypergraph(6, 2, 0, seed_or_rng=5).edge_count == 0
     assert random_hypergraph(6, 2, 1, seed_or_rng=5).edge_count == 15
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Fraction(0),
+        Fraction(1, 7),
+        Fraction(3, 8),
+        Fraction(1),
+        Fraction(1, comb(20, 1)),
+        Fraction(1, comb(8, 2)),
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("n, r", [(16, 2), (9, 3), (7, 1), (2, 3)])
+def test_coin_edges_draw_as_one_bernoulli_per_r_set(n, r, p):
+    """The inline coin keeps the r-sets that bernoulli keeps, one call per
+    r-set in lexicographic order, and leaves the generator where those
+    calls leave it: p = 0 draws nothing, and p = 1 draws until a 0 bit.
+    The last two rates are the lift's 1/C(k, s) at (k, s) = (20, 1) and
+    (8, 2)."""
+    rng, oracle = new_generator(23), new_generator(23)
+    got = list(_coin_edges(n, r, p, rng))
+    want = [w for w in itertools.combinations(range(1, n + 1), r) if bernoulli(oracle, p)]
+    assert got == want
+    assert rng.getstate() == oracle.getstate()
+    assert random_hypergraph(n, r, p, 23).edges == tuple(want)
 
 
 @pytest.mark.parametrize("n, r, p", [(2, 3, Fraction(3, 2)), (0, 1, 7), (4, 3, Fraction(3, 2)), (5, 2, -1)])

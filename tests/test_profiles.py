@@ -45,6 +45,23 @@ def refuse_edge_set(patch):
     patch.setattr(Hypergraph, "edge_set", property(refuse))
 
 
+def record_bitsets(patch):
+    """Record, through ``patch``, the make function (the kind) of every
+    index hypergraph._bitsets builds for counting: the positional sets are
+    built anew for each counter and cached nowhere, so the calls show
+    which branch ran.  Returns the list the kinds are appended to."""
+    made = []
+    build = hypergraph._bitsets
+
+    def recorded(groups, edge_count):
+        index = build(groups, edge_count)
+        made.append(index[1])
+        return index
+
+    patch.setattr(hypergraph, "_bitsets", recorded)
+    return made
+
+
 def c5():
     return from_edges(5, 2, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 
@@ -234,7 +251,7 @@ def test_estimate_convergence_battery():
 @pytest.mark.parametrize("n, r, k", [(7, 2, 4), (7, 3, 5)])
 @pytest.mark.parametrize("extra", [0, 1])
 def test_counting_kernel_at_its_switch_point(n, r, k, extra, monkeypatch):
-    """A graph with C(k, r) edges is counted by scanning its edge list,
+    """A graph with C(k, r) >= k edges is counted by its positional sets,
     one edge more switches to probing the tail index; both strategies
     agree with brute force in profiles and in seeded estimates."""
     rng = new_generator(100 * r + extra)
@@ -252,9 +269,12 @@ def test_counting_kernel_at_its_switch_point(n, r, k, extra, monkeypatch):
     assert g._tail_index is None
 
     level = max(want, key=want.get)
+    made = record_bitsets(monkeypatch)
     est = estimate_point(g, k, level, 300, seed=5)
-    # Only the enumerating strategy builds the tail index.
+    # Only the enumerating strategy builds the tail index; the positional
+    # sets are built once for the estimate and not kept.
     assert (g._tail_index is not None) == bool(extra)
+    assert made == [hypergraph._bitmask]
     replay = new_generator(5)
     assert est.hits == sum(brute(sample_ordered(replay, n, k)) == level for _ in range(300))
 
@@ -398,9 +418,115 @@ def test_the_strategy_choice_skips_a_binomial_the_edge_count_is_below(monkeypatc
         raise AssertionError(f"comb{args} was computed")
 
     monkeypatch.setattr(hypergraph, "comb", refuse)
+    made = record_bitsets(monkeypatch)
     assert induced_edge_count(g, range(1, 500001)) == 2
     assert induced_edge_count(g, range(2, 500002)) == 1
-    assert g._tail_index is None
+    assert g._tail_index is None and made == []
+
+
+# (r, size, m, the branch _edge_counter takes): each side of size <= m and
+# of the tail switch m = C(size, r) / C(size, r) + 1, on [1..8].
+BRANCHES = [
+    (1, 5, 4, "scan"),
+    (1, 5, 5, "positional"),
+    (1, 5, 6, "tail"),
+    (2, 5, 4, "scan"),
+    (2, 5, 5, "positional"),
+    (2, 5, 10, "positional"),
+    (2, 5, 11, "tail"),
+    (3, 4, 3, "scan"),
+    (3, 4, 4, "positional"),
+    (3, 4, 5, "tail"),
+    (3, 6, 5, "scan"),
+    (3, 6, 6, "positional"),
+    (3, 6, 20, "positional"),
+    (3, 6, 21, "tail"),
+    (4, 4, 1, "scan"),
+    (4, 4, 2, "tail"),
+    (4, 6, 5, "scan"),
+    (4, 6, 6, "positional"),
+    (4, 6, 15, "positional"),
+    (4, 6, 16, "tail"),
+]
+
+
+@pytest.mark.parametrize("budget", [hypergraph._TAIL_BITS_PER_EDGE, 0], ids=["masks", "frozensets"])
+@pytest.mark.parametrize("r, size, m, branch", BRANCHES)
+def test_each_counting_branch_at_its_boundaries_counts_as_brute_force(
+    r, size, m, branch, budget, monkeypatch
+):
+    """The branch taken at ``size`` is pinned by the indexes built: none
+    for the scan, one set index not kept for the positional sets, the
+    cached tail index for the tail.  Its counter, fed every subset of that
+    size in a shuffled order, an induced count of every subset of [1..8]
+    (which never builds positional sets for its one count), and a seeded
+    estimate at that size agree with brute force, with the sets as masks
+    or (no bit budget) as frozensets, and the edge set is never read."""
+    n = 8
+    monkeypatch.setattr(hypergraph, "_TAIL_BITS_PER_EDGE", budget)
+    refuse_edge_set(monkeypatch)
+    rng = new_generator(100 * r + m)
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    edges = [pool.pop(rand_below(rng, len(pool))) for _ in range(m)]
+    g = from_edges(n, r, edges)
+
+    def brute(u):
+        return sum(1 for e in edges if set(e) <= set(u))
+
+    made = record_bitsets(monkeypatch)
+    count = _edge_counter(g, size)
+    kind = hypergraph._bitmask if budget else frozenset
+    assert made == ([] if branch == "scan" else [kind])
+    assert (g._tail_index is not None) == (branch == "tail")
+    for u in itertools.combinations(range(1, n + 1), size):
+        shuffled = sample_ordered(rng, size, size)
+        assert count([u[i - 1] for i in shuffled]) == brute(u), u
+    # A single count scans rather than build positional sets for it.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypergraph, "_position_counter", None)
+        for k in range(n + 1):
+            for u in itertools.combinations(range(1, n + 1), k):
+                assert induced_edge_count(g, u) == brute(u), u
+    want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), size))
+    level = max(want, key=want.get)
+    est = estimate_point(g, size, level, 200, seed=m)
+    replay = new_generator(m)
+    assert est.hits == sum(brute(sample_ordered(replay, n, size)) == level for _ in range(200))
+
+
+def test_a_star_on_a_million_vertices_counts_by_positional_frozensets(monkeypatch):
+    """r = 2 with 5,000 edges (1, v), leaves spread over [1..10^6]: the
+    masks would pass the bit budget, so the positional sets are frozensets.
+    Samples of 300 vertices hold vertex 1, whose set holds every edge, 100
+    to 200 leaves, and odd vertices.  Each union is taken in one call, so
+    200 counts take well under a second (about 0.05 s traced on CPython
+    3.11; a union by repeated ``|=`` copies the 5,000-edge set at every
+    vertex, seconds in all), and the sets take a few MiB, nothing n-sized."""
+    n, k = 10**6, 300
+    leaves = list(range(200, n + 1, 200))
+    g = from_edges(n, 2, [(1, v) for v in leaves])
+    rng = new_generator(12)
+    hits = [100 + i % 101 for i in range(200)]
+    samples = []
+    for j in hits:
+        picked = [leaves[i] for i in sample_ordered(rng, len(leaves) - 1, j)]
+        odd = [2 * i + 1 for i in sample_ordered(rng, n // 2 - 1, k - 1 - j)]
+        samples.append([*picked, 1, *odd])
+    made = record_bitsets(monkeypatch)
+    refuse_edge_set(monkeypatch)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        count = _edge_counter(g, k)
+        got = [count(u) for u in samples]
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert made == [frozenset] and g._tail_index is None
+    assert got == hits
+    assert elapsed < 1.0
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("n, side, k", [(9, [2, 5, 6], 5), (10, [1, 10], 4), (8, range(1, 9), 3)])

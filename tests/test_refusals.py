@@ -28,7 +28,7 @@ from edgestats.hypergraph import (
 )
 from edgestats.multilinear import MultilinearPoly, exhaustive_distribution
 from edgestats.profiles import conditional_junta, estimate_point, exact_profile
-from edgestats.rng import bernoulli
+from edgestats.rng import new_generator
 
 
 class Forbidden:
@@ -218,20 +218,26 @@ def test_a_count_past_two_to_the_64_is_shown_by_its_bit_length():
 def test_a_lift_refuses_while_its_base_is_drawn(monkeypatch):
     """At n = 100000, k = 2, s = 1, r = 2 each base vertex has 99,999
     supersets, so the 101st base edge passes the cap: the lift refuses
-    there, with the base drawn so far, not after all C(n, 1) coins."""
-    coins = []
+    there, with the base drawn so far, not after all C(n, 1) coins.  The
+    coins are counted at the generator: at p = 1/2 a coin is decided by
+    the first 2-bit draw below 2."""
+    draws = []
 
-    def counted(rng, p):
-        coins.append(p)
-        return bernoulli(rng, p)
+    class Counted:
+        def __init__(self, seed):
+            self.inner = new_generator(seed)
 
-    monkeypatch.setattr(hypergraph, "bernoulli", counted)
+        def getrandbits(self, bits):
+            draws.append(self.inner.getrandbits(bits))
+            return draws[-1]
+
+    monkeypatch.setattr(hypergraph, "new_generator", Counted)
     with pytest.raises(ValueError) as info:
         construct_lift(100000, 2, 1, 2, 0)
     assert str(info.value) == (
         "101 base edges times C(99999,1) supersets = 10099899 exceeds the cap of 10000000"
     )
-    assert 101 <= len(coins) < 1000
+    assert 101 <= sum(x < 2 for x in draws) < 1000
 
 
 # id -> (the refused call, its whole message)
