@@ -124,9 +124,8 @@ class Hypergraph:
     The split and s = 1 lift constructions give a side ``_side`` = D and
     its edge types ``_types`` = A (ascending overlaps with D) in place of
     the edges (``_edges`` None): the edges are the r-sets e with
-    |e cap D| in A, built on first read and cached.  ``_tail_index`` is
-    the tail index that counting builds on first use (see _tail_index).
-    Two graphs are equal when n, r and the edges are.
+    |e cap D| in A, built on first read and cached.  No index is cached
+    on a graph.  Two graphs are equal when n, r and the edges are.
     """
 
     n: int
@@ -134,7 +133,6 @@ class Hypergraph:
     _edges: tuple[Edge, ...] | None = field(repr=False)
     _side: frozenset[int] | None = field(default=None, repr=False)
     _types: tuple[int, ...] | None = field(default=None, repr=False)
-    _tail_index: tuple[dict, Callable, Callable] | None = field(default=None, init=False, repr=False)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -168,7 +166,7 @@ class Hypergraph:
     def edge_set(self) -> frozenset[Edge]:
         """The edges as a set, built anew on each read: only membership
         questions (``complement``, callers) read it, once a graph;
-        counting reads the tail index instead."""
+        counting reads an index built per counter, or the edges, instead."""
         return frozenset(self.edges)
 
     def complement(self) -> "Hypergraph":
@@ -223,13 +221,9 @@ def _bitsets(groups: dict, edge_count: int) -> tuple[dict, Callable, Callable]:
 def _tail_index(graph: Hypergraph) -> tuple[dict[Edge, int | frozenset[int]], Callable, Callable]:
     """The tail index of ``graph``, as _bitsets gives it: it maps each
     prefix e[:-1] to the set of the last vertices of the edges that start
-    with it, grouped by one pass over the runs of ``_runs``.  Cached on
-    the graph."""
-    cached = graph._tail_index
-    if cached is None:
-        cached = _bitsets(dict(_runs(graph)), graph.edge_count)
-        object.__setattr__(graph, "_tail_index", cached)
-    return cached
+    with it, grouped by one pass over the runs of ``_runs``.  Built anew
+    on each call."""
+    return _bitsets(dict(_runs(graph)), graph.edge_count)
 
 
 def _bitmask(ids: Sequence[int]) -> int:
@@ -300,12 +294,12 @@ def _runs(graph: Hypergraph) -> Iterator[tuple[Edge, list[int]]]:
     )
 
 
-def _edge_counter(graph: Hypergraph, size: int, *, once: bool = False) -> Callable[[Sequence[int]], int]:
-    """The induced-count kernel of estimate_point and induced_edge_count: a
-    function counting the edges of ``graph`` inside a sequence of ``size``
-    distinct vertices, in any order, one sequence at a time.  Only the
-    tail branch needs the order: it sorts a list in place (estimate_point
-    discards each sample after counting it) and copies any other sequence.
+def _edge_counter(graph: Hypergraph, size: int) -> Callable[[list[int]], int]:
+    """The induced-count kernel of estimate_point: a function counting the
+    edges of ``graph`` inside a list of ``size`` distinct vertices, in any
+    order, one list at a time.  Only the tail branch needs the order, and
+    it sorts the list in place (estimate_point discards each sample after
+    counting it).
 
     On a graph given by its side D and edge types A, the count inside U
     is the closed form sum over a in A of C(j, a) C(size - j, r - a), with
@@ -319,10 +313,9 @@ def _edge_counter(graph: Hypergraph, size: int, *, once: bool = False) -> Callab
       membership tests.  An edge inside U is counted once, at its own
       prefix, by the size of that prefix's tail set met with U;
     - otherwise, size <= m: the positional sets of _position_counter, at
-      most r * size lookups and no test of an edge, unless ``once`` says
-      that one sequence is counted: building the sets costs more than
-      one scan, so a single count scans;
-    - otherwise (size > m): scan the edge list, m subset tests.
+      most r * size lookups and no test of an edge;
+    - otherwise (size > m): scan the edge list (_scan_counter), m subset
+      tests in place of r * size lookups.
 
     An edge count below 2^min(r, size - r) <= C(size, r) settles the
     first choice without the binomial, which is slow to compute for a
@@ -338,7 +331,7 @@ def _edge_counter(graph: Hypergraph, size: int, *, once: bool = False) -> Callab
         types = graph._types
         table: list[int | None] = [None] * (size + 1)
 
-        def count(u: Sequence[int]) -> int:
+        def count(u: list[int]) -> int:
             j = len(side.intersection(u))
             c = table[j]
             if c is None:
@@ -346,24 +339,15 @@ def _edge_counter(graph: Hypergraph, size: int, *, once: bool = False) -> Callab
             return c
 
     elif m.bit_length() <= min(r, size - r) or m <= comb(size, r):
-        if size <= m and not once:
-            return _position_counter(graph)
-        edges = graph.edges
-
-        def count(u: Sequence[int]) -> int:
-            uset = frozenset(u)
-            return sum(1 for e in edges if uset.issuperset(e))
+        return _position_counter(graph) if size <= m else _scan_counter(graph.edges)
 
     else:
         index, make, _ = _tail_index(graph)
         get = index.get
         if make is frozenset:
 
-            def count(u: Sequence[int]) -> int:
-                if type(u) is list:
-                    u.sort()
-                else:
-                    u = sorted(u)
+            def count(u: list[int]) -> int:
+                u.sort()
                 tails = map(get, itertools.combinations(u, r - 1))
                 return sum([len(t.intersection(u)) for t in tails if t])
 
@@ -373,16 +357,23 @@ def _edge_counter(graph: Hypergraph, size: int, *, once: bool = False) -> Callab
             # widen it, up to 2^n bits on a graph with a huge n.
             top = max(index.values()).bit_length() - 1
 
-            def count(u: Sequence[int]) -> int:
-                if type(u) is list:
-                    u.sort()
-                else:
-                    u = sorted(u)
+            def count(u: list[int]) -> int:
+                u.sort()
                 us = 0
                 for v in u[: bisect_right(u, top)]:
                     us |= 1 << v
                 tails = map(get, itertools.combinations(u, r - 1))
                 return sum([(t & us).bit_count() for t in tails if t])
+
+    return count
+
+
+def _scan_counter(edges: Sequence[Edge]) -> Callable[[Iterable[int]], int]:
+    """A function counting the ``edges`` inside U by testing each one."""
+
+    def count(u: Iterable[int]) -> int:
+        uset = frozenset(u)
+        return sum(1 for e in edges if uset.issuperset(e))
 
     return count
 
@@ -441,9 +432,16 @@ def _trace_groups(graph: Hypergraph, y: frozenset[int]) -> dict[Edge, set[frozen
 
 
 def induced_edge_count(graph: Hypergraph, subset: Iterable[int]) -> int:
-    """Number of edges of ``graph`` contained in ``subset``."""
+    """Number of edges of ``graph`` contained in ``subset``, by definition:
+    for a graph given by its side D and edge types A, the closed form at
+    j = |U cap D| (no edge is built); for any other, a test of each edge.
+    It builds no index, so it is the reference the kernel of
+    estimate_point (_edge_counter) is tested against."""
     u = _vertices(subset, graph.n, "subset")
-    return _edge_counter(graph, len(u), once=True)(u)
+    if graph._side is None:
+        return _scan_counter(graph.edges)(u)
+    j = len(graph._side.intersection(u))
+    return _typed_count(graph._types, j, len(u) - j, graph.r)
 
 
 def _as_edge_tuples(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> list[Edge]:

@@ -6,9 +6,14 @@ with that line on any violation.  ``edgestats suite acceptance`` exposes
 the same batteries on the command line.
 """
 
+from fractions import Fraction
+from math import comb, sqrt
+
 import pytest
 
 from edgestats.acceptance import CRITERIA, run_criterion
+from edgestats.hypergraph import construct_lift, construct_split
+from edgestats.profiles import exact_profile
 
 
 def test_the_gate_covers_every_criterion():
@@ -49,3 +54,41 @@ def test_criterion(index):
     print(result.line)
     assert result.ok, result.line
     assert result.line == FROZEN_LINES[index]
+
+
+@pytest.mark.parametrize(
+    "build, k, level, exact, hits",
+    [
+        # criterion 5: the lift's 84 base vertices D; level 19 at k = 20 is
+        # |U cap D| = 1, as C(20, 2) - C(19, 2) = 19.
+        (
+            lambda: construct_lift(2000, 20, 1, 2, seed=55).graph,
+            20,
+            19,
+            Fraction(84 * comb(1916, 19), comb(2000, 20)),
+            37388,
+        ),
+        # criterion 6: level 30 at k = 8 is |U cap D| = 2 or 3, as
+        # j C(8 - j, 2) = 30 at both.
+        (
+            lambda: construct_split(400, range(1, 101), 3),
+            8,
+            30,
+            Fraction(comb(100, 2) * comb(300, 6) + comb(100, 3) * comb(300, 5), comb(400, 8)),
+            52311,
+        ),
+    ],
+    ids=["criterion-5", "criterion-6"],
+)
+def test_the_monte_carlo_criteria_hit_near_their_exact_values(build, k, level, exact, hits):
+    """The exact point probability of criteria 5 and 6, from the side's
+    closed-form profile over all C(n, k) subsets with no edge built, and
+    the frozen hits out of 100,000 samples lie within 5 standard errors of
+    it (about 0.0006 and -0.34 of one)."""
+    graph = build()
+    profile = exact_profile(graph, k, max_subsets=comb(graph.n, k))
+    assert graph._edges is None
+    assert profile.total == comb(graph.n, k)
+    assert Fraction(profile.counts[level], profile.total) == exact
+    p = float(exact)
+    assert abs(hits / 100000 - p) <= 5 * sqrt(p * (1 - p) / 100000)

@@ -2,20 +2,32 @@
 byte-for-byte determinism, and file round trips."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import shlex
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from edgestats import cli
+from edgestats import cli, hypergraph
 from edgestats.anticonc import junta_tv
 from edgestats.cli import main
-from edgestats.hypergraph import format_hg, from_edges, parse_hg
+from edgestats.hypergraph import (
+    construct_lift,
+    construct_split,
+    format_hg,
+    from_edges,
+    induced_edge_count,
+    parse_hg,
+)
 from edgestats.multilinear import MultilinearPoly, format_mlp, parse_mlp
 from edgestats.rng import new_generator, rand_below, sample_ordered
 
@@ -107,6 +119,7 @@ def test_a_split_is_written_and_estimated_without_its_edges(tmp_path, monkeypatc
     graphs = []
     monkeypatch.setattr(cli, "format_hg", lambda graph: graphs.append(graph) or format_hg(graph))
     monkeypatch.setattr(cli, "parse_hg", lambda text: graphs.append(parse_hg(text)) or graphs[-1])
+    monkeypatch.setattr(hypergraph, "_tail_index", None)
     out = str(tmp_path / "split.hg")
     argv = ["construct", "split", "--n", "40", "--side", "1 5 9 30", "--r", "3", "--out", out]
     assert run_cli(argv, capsys)[0] == 0
@@ -115,7 +128,7 @@ def test_a_split_is_written_and_estimated_without_its_edges(tmp_path, monkeypatc
     written, read = graphs
     assert written._edges is None
     assert (read._side, read._types) == (written._side, written._types)
-    assert read._edges is None and read._tail_index is None
+    assert read._edges is None
 
 
 def test_construct_lift_is_reproducible(tmp_path, capsys):
@@ -319,6 +332,69 @@ def test_a_crlf_file_reads_as_its_lf_text_and_is_digested_as_written(c5_path, tm
         reports.append(json.loads(out))
     assert reports[0]["results"] == reports[1]["results"]
     assert reports[1]["input_digest"] == hashlib.sha256(data).hexdigest()
+
+
+@st.composite
+def estimated_graphs(draw):
+    """A graph on at most 10 vertices and a sample size k: a split or an
+    s = 1 lift, which estimate counts by its side, or m edges drawn so
+    that it counts by the given branch of the kernel (tail: m > C(k, r);
+    positional: k <= m <= C(k, r); scan: m < k).  A graph with r = 1, at
+    most one edge, or every r-set reads back as a side, as do more graphs
+    on few vertices, so the branches draw r >= 2, 2 <= m < C(n, r) and
+    n >= 5."""
+    kind = draw(st.sampled_from(["split", "lift", "tail", "positional", "scan"]))
+    if kind in ("split", "lift"):
+        n = draw(st.integers(1, 10))
+        r = draw(st.integers(1, min(4, n)))
+        k = draw(st.integers(0, n))
+        if kind == "split":
+            return construct_split(n, draw(st.sets(st.integers(1, n))), r), k
+        return construct_lift(n, draw(st.integers(r, n)), 1, r, draw(st.integers(0, 99))).graph, k
+    n = draw(st.integers(5, 10))
+    r = draw(st.integers(2, 4))
+    if kind == "tail":
+        k = draw(st.integers(0, n - 1))
+        low, high = max(comb(k, r) + 1, 2), comb(n, r) - 1
+    else:
+        k = draw(st.integers(r + 1, n))
+        low, high = (k, min(comb(k, r), comb(n, r) - 1)) if kind == "positional" else (2, k - 1)
+    assume(low <= high)
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    rng = new_generator(draw(st.integers(0, 2**30)))
+    picked = sample_ordered(rng, len(pool), draw(st.integers(low, high)))
+    return from_edges(n, r, [pool[i - 1] for i in picked]), k
+
+
+@pytest.fixture(scope="module")
+def hg_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("estimate") / "graph.hg"
+
+
+@given(estimated_graphs(), st.integers(0, 2**30))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_estimate_hits_are_the_replayed_samples_counted_by_the_definition(hg_file, case, seed):
+    """estimate on a written graph exits 0 and reports as hits the replayed
+    draws of its seed, each counted by induced_edge_count, that reach the
+    highest count among them; k = -1 and k = n + 1 exit 2 and print
+    nothing."""
+    graph, k = case
+    hg_file.write_text(format_hg(graph))
+    replay = new_generator(seed)
+    counts = [induced_edge_count(graph, sample_ordered(replay, graph.n, k)) for _ in range(30)]
+
+    def run(size):
+        argv = ["estimate", "--input", str(hg_file), "--k", str(size), "--level", str(max(counts))]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--samples", "30", "--seed", str(seed)])
+        return code, out.getvalue()
+
+    code, out = run(k)
+    assert code == 0
+    assert json.loads(out)["results"]["hits"] == counts.count(max(counts))
+    for size in (-1, graph.n + 1):
+        assert run(size) == (2, "")
 
 
 # ---------------------------------------------------------------------------

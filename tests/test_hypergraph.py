@@ -1,6 +1,8 @@
 """Core hypergraph behaviour: validation, induced counts, matchings, the
 two named constructions, and the .hg text format."""
 
+import dataclasses
+import inspect
 import itertools
 import re
 import sys
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgestats import hypergraph
 from edgestats.hypergraph import (
     Hypergraph,
     _coin_edges,
+    _edge_counter,
     _side_runs,
     _tail_index,
     construct_lift,
@@ -326,18 +330,27 @@ def test_split_graph_matches_the_oracle_on_random_shapes(seed):
 def test_a_split_graph_builds_its_edges_only_when_read(monkeypatch):
     """The construction stores the side and its one edge type: the edge
     count is their closed form, and the edges are built on first read,
-    once.  None of it reads the edge set."""
+    once.  None of it reads the edge set or builds a tail index."""
 
     def refuse(*args):
-        raise AssertionError("the edge set was built")
+        raise AssertionError("the edge set or tail index was built")
 
     monkeypatch.setattr(Hypergraph, "edge_set", property(refuse))
+    monkeypatch.setattr(hypergraph, "_tail_index", refuse)
     g = construct_split(30, range(1, 6), 3)
     assert g.edge_count == 5 * 300
-    assert g._edges is None and g._tail_index is None
+    assert g._edges is None
     assert g.edges is g.edges
     assert len(g.edges) == g.edge_count
     assert repr(g) == "Hypergraph(n=30, r=3)"
+
+
+def test_a_graph_holds_its_description_and_no_index():
+    """A graph's fields are its shape and its edges or (side, types): no
+    index is cached on it, so each counter builds its own, from a graph
+    alone and a sample size."""
+    assert [f.name for f in dataclasses.fields(Hypergraph)] == ["n", "r", "_edges", "_side", "_types"]
+    assert list(inspect.signature(_edge_counter).parameters) == ["graph", "size"]
 
 
 @pytest.mark.parametrize("side, r, edges", [([], 2, ()), ([1, 5], 1, ((1,), (5,)))])
@@ -391,7 +404,7 @@ def test_split_graph_past_the_tail_budget_keeps_its_edges_and_no_index():
     assert g.edges == tuple((v, n) for v in range(1, n))
     assert g == from_edges(n, 2, split_oracle(n, [n], 2))
     assert induced_edge_count(g, [1, 2, 3, n - 1, n]) == 4
-    assert g._tail_index[0] is index
+    assert _edge_counter(g, 5)([n, 3, 1, n - 1, 2]) == 4
 
 
 @pytest.mark.parametrize("side, r", [((), 0), ((), -3), ((1, 2), 0), ((1,), -1)])

@@ -45,20 +45,38 @@ def refuse_edge_set(patch):
     patch.setattr(Hypergraph, "edge_set", property(refuse))
 
 
+def refuse(patch, *names):
+    """Make each named function of hypergraph fail when called, through
+    ``patch``: the code under test never reaches it."""
+    for name in names:
+
+        def refused(*args, name=name):
+            raise AssertionError(f"{name} was called")
+
+        patch.setattr(hypergraph, name, refused)
+
+
 def record_bitsets(patch):
     """Record, through ``patch``, the make function (the kind) of every
-    index hypergraph._bitsets builds for counting: the positional sets are
-    built anew for each counter and cached nowhere, so the calls show
-    which branch ran.  Returns the list the kinds are appended to."""
+    index hypergraph._bitsets builds for counting, after a "tail" mark for
+    the tail index: no index is cached on a graph, so the calls show which
+    branch ran ([] for the scan, [kind] for the positional sets, ["tail",
+    kind] for the tail index).  Returns the list the kinds are appended
+    to."""
     made = []
-    build = hypergraph._bitsets
+    build, tail_index = hypergraph._bitsets, hypergraph._tail_index
 
     def recorded(groups, edge_count):
         index = build(groups, edge_count)
         made.append(index[1])
         return index
 
+    def recorded_tail(graph):
+        made.append("tail")
+        return tail_index(graph)
+
     patch.setattr(hypergraph, "_bitsets", recorded)
+    patch.setattr(hypergraph, "_tail_index", recorded_tail)
     return made
 
 
@@ -144,12 +162,11 @@ def test_profile_subsampling_consistency(seed):
 
 
 def per_subset_profile(graph, k):
-    """The oracle: every k-subset counted one by one by the induced-count
-    kernel, as exact_profile counted before it walked."""
+    """The oracle: every k-subset counted one by one by the definition,
+    induced_edge_count, which shares no index with the walks."""
     counts = {}
-    count = _edge_counter(graph, k)
     for u in itertools.combinations(range(1, graph.n + 1), k):
-        c = count(u)
+        c = induced_edge_count(graph, u)
         counts[c] = counts.get(c, 0) + 1
     return EdgeProfile(graph.n, k, counts, sum(counts.values()))
 
@@ -169,8 +186,8 @@ def test_the_walk_matches_the_per_subset_loop(r, extra, p, seed):
     g = from_edges(n, r, set(g.edges) | {tuple(range(n - r + 1, n + 1))})
     with pytest.MonkeyPatch.context() as patch:
         refuse_edge_set(patch)
+        refuse(patch, "_tail_index")
         walked = [exact_profile(g, k) for k in range(n + 1)]
-    assert g._tail_index is None
     assert walked == [per_subset_profile(g, k) for k in range(n + 1)]
 
 
@@ -263,18 +280,18 @@ def test_counting_kernel_at_its_switch_point(n, r, k, extra, monkeypatch):
         return sum(1 for e in edges if set(e) <= set(u))
 
     want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
-    # Counting never builds the membership set.
+    # Counting never builds the membership set, and profiling no tail index.
     refuse_edge_set(monkeypatch)
-    assert dict(exact_profile(g, k).counts) == want
-    assert g._tail_index is None
+    with pytest.MonkeyPatch.context() as patch:
+        refuse(patch, "_tail_index")
+        assert dict(exact_profile(g, k).counts) == want
 
     level = max(want, key=want.get)
     made = record_bitsets(monkeypatch)
     est = estimate_point(g, k, level, 300, seed=5)
-    # Only the enumerating strategy builds the tail index; the positional
-    # sets are built once for the estimate and not kept.
-    assert (g._tail_index is not None) == bool(extra)
-    assert made == [hypergraph._bitmask]
+    # Only the enumerating strategy builds the tail index; either index is
+    # built once for the estimate.
+    assert made == (["tail"] if extra else []) + [hypergraph._bitmask]
     replay = new_generator(5)
     assert est.hits == sum(brute(sample_ordered(replay, n, k)) == level for _ in range(300))
 
@@ -295,21 +312,24 @@ def test_tail_index_counts_match_brute_force(r, seed, monkeypatch):
         return sum(1 for e in g.edges if set(e) <= set(u))
 
     refuse_edge_set(monkeypatch)
-    for k in range(n + 1):
-        want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
-        assert dict(exact_profile(g, k).counts) == want, k
-    assert g._tail_index is None
+    with pytest.MonkeyPatch.context() as patch:
+        refuse(patch, "_tail_index")
+        for k in range(n + 1):
+            want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), k))
+            assert dict(exact_profile(g, k).counts) == want, k
     # At size 0 the graph holds more than C(0, r) = 0 edges, so the kernel
-    # enumerates through the tail index, which the counts below reuse.
-    assert induced_edge_count(g, []) == 0
-    index, make, size = g._tail_index
+    # enumerates through the tail index.
+    made = record_bitsets(monkeypatch)
+    assert _edge_counter(g, 0)([]) == 0
+    assert made == ["tail", hypergraph._bitmask]
+    index, make, size = hypergraph._tail_index(g)
     assert size is int.bit_count
     assert len(index) == len({e[:-1] for e in g.edges})
     assert sum(mask.bit_count() for mask in index.values()) == g.edge_count
     for k in range(n + 1):
+        count = _edge_counter(g, k)
         for u in itertools.combinations(range(1, n + 1), k):
-            assert induced_edge_count(g, reversed(u)) == brute(u), u
-    assert g._tail_index[0] is index
+            assert count(list(reversed(u))) == brute(u), u
 
 
 @pytest.mark.parametrize("budget", [hypergraph._TAIL_BITS_PER_EDGE, 0])
@@ -329,13 +349,15 @@ def test_tail_index_as_masks_or_frozensets_counts_as_brute_force(r, budget, monk
     def brute(u):
         return sum(1 for e in g.edges if set(e) <= set(u))
 
-    assert induced_edge_count(g, []) == 0
-    assert g._tail_index[2] is (int.bit_count if budget else len)
+    made = record_bitsets(monkeypatch)
+    assert _edge_counter(g, 0)([]) == 0
+    assert made == ["tail", hypergraph._bitmask if budget else frozenset]
     for k in range(n + 1):
         want = Counter()
+        count = _edge_counter(g, k)
         for u in itertools.combinations(range(1, n + 1), k):
             want[brute(u)] += 1
-            assert induced_edge_count(g, u) == brute(u), u
+            assert count(list(u)) == brute(u), u
         level = max(want, key=want.get)
         est = estimate_point(g, k, level, 100, seed=k)
         replay = new_generator(k)
@@ -367,16 +389,18 @@ def test_sparse_graph_on_a_million_vertices_counts_without_the_index(edges, monk
     subsets = [sample_ordered(rng, n, k) for _ in range(50)]
     subsets += [sorted({e[0] for e in edges[:3]} | {e[1] for e in edges[:2]})]
     refuse_edge_set(monkeypatch)
+    made = record_bitsets(monkeypatch)
     tracemalloc.start()
     try:
         for u in subsets:
-            assert induced_edge_count(g, u) == brute(u), u
+            assert _edge_counter(g, len(u))(list(u)) == brute(u), u
         est = estimate_point(g, k, 0, 200, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    index, make, size = g._tail_index
+    assert made == ["tail", frozenset] * (len(subsets) + 1)
+    index, make, size = hypergraph._tail_index(g)
     assert (make, size) == (frozenset, len)
     assert sum(map(len, index.values())) == len(edges)
     replay = new_generator(3)
@@ -385,7 +409,7 @@ def test_sparse_graph_on_a_million_vertices_counts_without_the_index(edges, monk
 
 
 @pytest.mark.parametrize("n, k, level", [(10**20, 2, 1), (2**70, 9, 0), (200, 25, 3)])
-def test_ids_above_the_largest_tail_never_enter_a_mask(n, k, level):
+def test_ids_above_the_largest_tail_never_enter_a_mask(n, k, level, monkeypatch):
     """A graph whose edges all lie low in [1..n] is counted through its tail
     index however large n is: an id above the largest tail completes no
     edge, so it is cut from U before U's mask is made.  Counts and seeded
@@ -400,10 +424,10 @@ def test_ids_above_the_largest_tail_never_enter_a_mask(n, k, level):
     rng = new_generator(11)
     subsets = [sample_ordered(rng, n, k) for _ in range(50)]
     subsets += [[1, 2, 30, 31, n], [2, 3, 4, n - 1, n], [n]]
+    made = record_bitsets(monkeypatch)
     for u in subsets:
-        assert induced_edge_count(g, u) == scan(u), u
-    index, make, size = g._tail_index
-    assert size is int.bit_count
+        assert _edge_counter(g, len(u))(list(u)) == scan(u), u
+    assert made == ["tail", hypergraph._bitmask] * len(subsets)
     est = estimate_point(g, k, level, 200, seed=4)
     replay = new_generator(4)
     assert est.hits == sum(scan(sample_ordered(replay, n, k)) == level for _ in range(200))
@@ -419,9 +443,9 @@ def test_the_strategy_choice_skips_a_binomial_the_edge_count_is_below(monkeypatc
 
     monkeypatch.setattr(hypergraph, "comb", refuse)
     made = record_bitsets(monkeypatch)
-    assert induced_edge_count(g, range(1, 500001)) == 2
-    assert induced_edge_count(g, range(2, 500002)) == 1
-    assert g._tail_index is None and made == []
+    assert _edge_counter(g, 500000)(list(range(1, 500001))) == 2
+    assert _edge_counter(g, 500000)(list(range(2, 500002))) == 1
+    assert made == []
 
 
 # (r, size, m, the branch _edge_counter takes): each side of size <= m and
@@ -456,12 +480,13 @@ def test_each_counting_branch_at_its_boundaries_counts_as_brute_force(
     r, size, m, branch, budget, monkeypatch
 ):
     """The branch taken at ``size`` is pinned by the indexes built: none
-    for the scan, one set index not kept for the positional sets, the
-    cached tail index for the tail.  Its counter, fed every subset of that
-    size in a shuffled order, an induced count of every subset of [1..8]
-    (which never builds positional sets for its one count), and a seeded
-    estimate at that size agree with brute force, with the sets as masks
-    or (no bit budget) as frozensets, and the edge set is never read."""
+    for the scan, the positional sets for the positional branch, the tail
+    index for the tail.  Its counter, fed every subset of that size in a
+    shuffled order, the counter at every other size fed every subset of
+    [1..8], and a seeded estimate at that size agree with brute force,
+    with the sets as masks or (no bit budget) as frozensets, and the edge
+    set is never read.  So does induced_edge_count on every subset, with
+    the kernel and both index builders refused."""
     n = 8
     monkeypatch.setattr(hypergraph, "_TAIL_BITS_PER_EDGE", budget)
     refuse_edge_set(monkeypatch)
@@ -473,20 +498,22 @@ def test_each_counting_branch_at_its_boundaries_counts_as_brute_force(
     def brute(u):
         return sum(1 for e in edges if set(e) <= set(u))
 
-    made = record_bitsets(monkeypatch)
-    count = _edge_counter(g, size)
-    kind = hypergraph._bitmask if budget else frozenset
-    assert made == ([] if branch == "scan" else [kind])
-    assert (g._tail_index is not None) == (branch == "tail")
-    for u in itertools.combinations(range(1, n + 1), size):
-        shuffled = sample_ordered(rng, size, size)
-        assert count([u[i - 1] for i in shuffled]) == brute(u), u
-    # A single count scans rather than build positional sets for it.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hypergraph, "_position_counter", None)
+        refuse(patch, "_edge_counter", "_tail_index", "_bitsets")
         for k in range(n + 1):
             for u in itertools.combinations(range(1, n + 1), k):
                 assert induced_edge_count(g, u) == brute(u), u
+    made = record_bitsets(monkeypatch)
+    count = _edge_counter(g, size)
+    kind = hypergraph._bitmask if budget else frozenset
+    assert made == {"scan": [], "positional": [kind], "tail": ["tail", kind]}[branch]
+    for u in itertools.combinations(range(1, n + 1), size):
+        shuffled = sample_ordered(rng, size, size)
+        assert count([u[i - 1] for i in shuffled]) == brute(u), u
+    for k in range(n + 1):
+        count = _edge_counter(g, k)
+        for u in itertools.combinations(range(1, n + 1), k):
+            assert count(list(u)) == brute(u), u
     want = Counter(brute(u) for u in itertools.combinations(range(1, n + 1), size))
     level = max(want, key=want.get)
     est = estimate_point(g, size, level, 200, seed=m)
@@ -523,7 +550,7 @@ def test_a_star_on_a_million_vertices_counts_by_positional_frozensets(monkeypatc
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert made == [frozenset] and g._tail_index is None
+    assert made == [frozenset]
     assert got == hits
     assert elapsed < 1.0
     assert peak < 8 << 20
@@ -544,8 +571,10 @@ def test_estimating_on_a_split_graph_leaves_its_edge_tuples_unbuilt(monkeypatch)
     built."""
     g = construct_split(60, range(1, 16), 3)
     refuse_edge_set(monkeypatch)
-    est = estimate_point(g, 8, 30, 2000, seed=6)
-    assert g._edges is None and g._tail_index is None
+    with pytest.MonkeyPatch.context() as patch:
+        refuse(patch, "_tail_index")
+        est = estimate_point(g, 8, 30, 2000, seed=6)
+    assert g._edges is None
     rest = range(16, 61)
     oracle = from_edges(60, 3, [(v, *t) for v in range(1, 16) for t in itertools.combinations(rest, 2)])
     assert est == estimate_point(oracle, 8, 30, 2000, seed=6)
@@ -577,7 +606,7 @@ def assert_side_counts_match_a_plain_copy(g, side, level_of):
         for j in range(max(0, k - len(outside)), min(k, len(inside)) + 1):
             u = sorted(inside[len(inside) - j :] + outside[len(outside) - (k - j) :])
             want = level_of(k, j, g.r)
-            assert count(u) == induced_edge_count(plain, u) == want, (k, j)
+            assert count(u) == induced_edge_count(g, u) == induced_edge_count(plain, u) == want, (k, j)
 
 
 def lift_with_an_empty_base(n, k, r):
@@ -630,6 +659,35 @@ def test_side_counts_match_a_plain_copy_on_random_shapes(seed):
         assert_side_counts_match_a_plain_copy(built.graph, side, lift_level)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct_split(9, [2, 5, 6], 3),
+        lambda: construct_split(8, range(1, 9), 2),
+        lambda: construct_split(7, [], 2),
+        lambda: construct_lift(8, 4, 1, 3, 2).graph,
+        lambda: construct_lift(7, 3, 1, 2, 0).graph,
+    ],
+)
+def test_the_definition_counts_a_side_graph_without_its_edges(build, monkeypatch):
+    """induced_edge_count on every subset of a split or an s = 1 lift, with
+    the counting kernel, both index builders and the edge set refused,
+    agrees with brute force over the edges of a second copy, and the
+    counted copy's edges stay unbuilt."""
+    g, copy = build(), build()
+    assert g._side is not None
+
+    def brute(u):
+        return sum(1 for e in copy.edges if set(e) <= set(u))
+
+    refuse_edge_set(monkeypatch)
+    refuse(monkeypatch, "_edge_counter", "_tail_index", "_bitsets")
+    for k in range(g.n + 1):
+        for u in itertools.combinations(range(1, g.n + 1), k):
+            assert induced_edge_count(g, u) == brute(u), u
+    assert g._edges is None
+
+
 def test_a_side_profile_makes_no_probe_count(monkeypatch):
     """The 15,504 subsets of a profile are counted by the closed form in
     their overlap with the side alone: the tail-index strategy (one bisect
@@ -645,9 +703,10 @@ def test_a_side_profile_makes_no_probe_count(monkeypatch):
 
     monkeypatch.setattr(hypergraph, "bisect_right", counted)
     refuse_edge_set(monkeypatch)
+    refuse(monkeypatch, "_tail_index")
     assert exact_profile(g, 5) == want
     assert calls == []
-    assert g._edges is None and g._tail_index is None
+    assert g._edges is None
 
 
 def test_counting_on_an_s1_lift_builds_no_edges(monkeypatch):
@@ -657,6 +716,7 @@ def test_counting_on_an_s1_lift_builds_no_edges(monkeypatch):
     g = construct_lift(2000, 20, 1, 2, 55).graph
     side = sorted(g._side)
     refuse_edge_set(monkeypatch)
+    refuse(monkeypatch, "_tail_index")
     count = _edge_counter(g, 20)
     for j in (0, 1, 5, 20):
         u = sorted(side[:j] + [v for v in range(1, 2001) if v not in g._side][: 20 - j])
@@ -665,7 +725,7 @@ def test_counting_on_an_s1_lift_builds_no_edges(monkeypatch):
     exact_profile(small, 5)
     estimate_point(g, 20, 19, 500, seed=56)
     for graph in (g, small):
-        assert graph._edges is None and graph._tail_index is None
+        assert graph._edges is None
 
 
 # ---------------------------------------------------------------------------
