@@ -306,23 +306,20 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[list[int]], int]:
     j = |U cap D|; each j's value is computed on first use.  No edge is
     read.
 
-    On any other graph with m edges it picks one exact strategy once:
+    On any other graph with m edges it picks one exact strategy once,
+    the cheapest test first, so that no sample costs much more than a
+    scan of the edges:
 
-    - m > C(size, r): enumerate the (r-1)-subsets of U through the tail
-      index (_tail_index), so C(size, r-1) probes replace C(size, r)
-      membership tests.  An edge inside U is counted once, at its own
-      prefix, by the size of that prefix's tail set met with U;
-    - otherwise, size <= m: the positional sets of _position_counter, at
-      most r * size lookups and no test of an edge;
-    - otherwise (size > m): scan the edge list (_scan_counter), m subset
-      tests in place of r * size lookups.
-
-    An edge count below 2^min(r, size - r) <= C(size, r) settles the
-    first choice without the binomial, which is slow to compute for a
-    large size and r.  The tail sets are masks, met with U's mask, or
-    frozensets on a graph whose masks would be too large (a sparse graph
-    on very many vertices), met with U's ids as they are, so no set of U
-    is made.
+    - size > m: scan the edge list (_scan_counter), m subset tests;
+    - otherwise, m <= max(C(size, r), C(size, r-1)): the positional sets
+      of _position_counter, at most r * size <= r * m lookups;
+    - otherwise: enumerate the (r-1)-subsets of U through the tail index
+      (_tail_index), C(size, r-1) < m probes.  An edge inside U is
+      counted once, at its own prefix, by the size of that prefix's tail
+      set met with U.  The tail sets are masks, met with U's mask, or
+      frozensets on a graph whose masks would be too large (a sparse
+      graph on very many vertices), met with U's ids as they are, so no
+      set of U is made.
     """
     r = graph.r
     side = graph._side
@@ -338,8 +335,11 @@ def _edge_counter(graph: Hypergraph, size: int) -> Callable[[list[int]], int]:
                 c = table[j] = _typed_count(types, j, size - j, r)
             return c
 
-    elif m.bit_length() <= min(r, size - r) or m <= comb(size, r):
-        return _position_counter(graph) if size <= m else _scan_counter(graph.edges)
+    elif size > m:
+        return _scan_counter(graph.edges)
+
+    elif m <= max(comb(size, r), comb(size, r - 1)):
+        return _position_counter(graph)
 
     else:
         index, make, _ = _tail_index(graph)

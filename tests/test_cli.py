@@ -338,11 +338,11 @@ def test_a_crlf_file_reads_as_its_lf_text_and_is_digested_as_written(c5_path, tm
 def estimated_graphs(draw):
     """A graph on at most 10 vertices and a sample size k: a split or an
     s = 1 lift, which estimate counts by its side, or m edges drawn so
-    that it counts by the given branch of the kernel (tail: m > C(k, r);
-    positional: k <= m <= C(k, r); scan: m < k).  A graph with r = 1, at
-    most one edge, or every r-set reads back as a side, as do more graphs
-    on few vertices, so the branches draw r >= 2, 2 <= m < C(n, r) and
-    n >= 5."""
+    that it counts by the given branch of the kernel (scan: m < k;
+    positional: k <= m <= max(C(k, r), C(k, r - 1)); tail: m above both).
+    A graph with r = 1, at most one edge, or every r-set reads back as a
+    side, as do more graphs on few vertices, so the branches draw r >= 2,
+    2 <= m < C(n, r) and n >= 5."""
     kind = draw(st.sampled_from(["split", "lift", "tail", "positional", "scan"]))
     if kind in ("split", "lift"):
         n = draw(st.integers(1, 10))
@@ -353,12 +353,10 @@ def estimated_graphs(draw):
         return construct_lift(n, draw(st.integers(r, n)), 1, r, draw(st.integers(0, 99))).graph, k
     n = draw(st.integers(5, 10))
     r = draw(st.integers(2, 4))
-    if kind == "tail":
-        k = draw(st.integers(0, n - 1))
-        low, high = max(comb(k, r) + 1, 2), comb(n, r) - 1
-    else:
-        k = draw(st.integers(r + 1, n))
-        low, high = (k, min(comb(k, r), comb(n, r) - 1)) if kind == "positional" else (2, k - 1)
+    k = draw(st.integers(0, n))
+    switch = max(comb(k, r), comb(k, r - 1))
+    low, high = {"scan": (2, k - 1), "positional": (k, switch), "tail": (max(k, switch + 1), comb(n, r))}[kind]
+    low, high = max(low, 2), min(high, comb(n, r) - 1)
     assume(low <= high)
     pool = list(itertools.combinations(range(1, n + 1), r))
     rng = new_generator(draw(st.integers(0, 2**30)))
@@ -395,6 +393,28 @@ def test_estimate_hits_are_the_replayed_samples_counted_by_the_definition(hg_fil
     assert json.loads(out)["results"]["hits"] == counts.count(max(counts))
     for size in (-1, graph.n + 1):
         assert run(size) == (2, "")
+
+
+def test_estimate_at_a_uniformity_equal_to_k_scans_three_edges(tmp_path, capsys):
+    """Three shifted edges of 20,000 vertices on 20,002, sampled at
+    k = 20,000: estimate scans the three edges rather than probe the
+    20,000 tuples of 19,999 vertices a tail index would (seconds), exits
+    0 in under a second, and reports the replayed sample counted by the
+    definition."""
+    r = 20000
+    path = tmp_path / "shifted.hg"
+    edges = [" ".join(map(str, range(i, i + r))) + "\n" for i in (1, 2, 3)]
+    path.write_text(f"{r + 2} {r}\n" + "".join(edges))
+    graph = parse_hg(path.read_text())
+    assert graph._side is None and graph.edge_count == 3
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        ["estimate", "--input", str(path), "--k", str(r), "--level", "0", "--samples", "1", "--seed", "0"], capsys
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    count = induced_edge_count(graph, sample_ordered(new_generator(0), r + 2, r))
+    assert json.loads(out)["results"]["hits"] == (count == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -434,8 +434,9 @@ def test_ids_above_the_largest_tail_never_enter_a_mask(n, k, level, monkeypatch)
 
 
 def test_the_strategy_choice_skips_a_binomial_the_edge_count_is_below(monkeypatch):
-    """An edge count below 2^min(r, size - r) picks the edge scan without
-    C(size, r), which takes seconds at size 500,000 and r = 250,000."""
+    """An edge count below the size picks the edge scan, the first test,
+    so no binomial is computed: C(size, r) takes seconds at size 500,000
+    and r = 250,000."""
     g = from_edges(10**6, 250000, [range(1, 250001), range(2, 250002)])
 
     def refuse(*args):
@@ -448,8 +449,10 @@ def test_the_strategy_choice_skips_a_binomial_the_edge_count_is_below(monkeypatc
     assert made == []
 
 
-# (r, size, m, the branch _edge_counter takes): each side of size <= m and
-# of the tail switch m = C(size, r) / C(size, r) + 1, on [1..8].
+# (r, size, m, the branch _edge_counter takes): each side of the scan
+# switch m = size - 1 / size and of the tail switch
+# m = max(C(size, r), C(size, r - 1)) / that + 1, on [1..8].  Where
+# r > (size + 1) / 2 the tail switch is C(size, r - 1), above C(size, r).
 BRANCHES = [
     (1, 5, 4, "scan"),
     (1, 5, 5, "positional"),
@@ -460,17 +463,24 @@ BRANCHES = [
     (2, 5, 11, "tail"),
     (3, 4, 3, "scan"),
     (3, 4, 4, "positional"),
-    (3, 4, 5, "tail"),
+    (3, 4, 5, "positional"),
+    (3, 4, 6, "positional"),
+    (3, 4, 7, "tail"),
     (3, 6, 5, "scan"),
     (3, 6, 6, "positional"),
     (3, 6, 20, "positional"),
     (3, 6, 21, "tail"),
     (4, 4, 1, "scan"),
-    (4, 4, 2, "tail"),
+    (4, 4, 2, "scan"),
+    (4, 4, 3, "scan"),
+    (4, 4, 4, "positional"),
+    (4, 4, 5, "tail"),
     (4, 6, 5, "scan"),
     (4, 6, 6, "positional"),
     (4, 6, 15, "positional"),
-    (4, 6, 16, "tail"),
+    (4, 6, 16, "positional"),
+    (4, 6, 20, "positional"),
+    (4, 6, 21, "tail"),
 ]
 
 
@@ -519,6 +529,47 @@ def test_each_counting_branch_at_its_boundaries_counts_as_brute_force(
     est = estimate_point(g, size, level, 200, seed=m)
     replay = new_generator(m)
     assert est.hits == sum(brute(sample_ordered(replay, n, size)) == level for _ in range(200))
+
+
+def sunflower(r, petals):
+    """The edges [1..r-1] + {r - 1 + i} for i = 1..petals: a core of r - 1
+    vertices shared by every edge, on r - 1 + petals vertices."""
+    core = tuple(range(1, r))
+    return from_edges(r - 1 + petals, r, [(*core, r - 1 + i) for i in range(1, petals + 1)])
+
+
+def wide_random(r, n, seed):
+    """About n distinct r-sets of [1..n], drawn uniformly."""
+    rng = new_generator(seed)
+    return from_edges(n, r, {tuple(sorted(sample_ordered(rng, n, r))) for _ in range(n)})
+
+
+@pytest.mark.parametrize(
+    "build, k, branch",
+    [
+        (lambda: sunflower(16000, 20), 16000, "scan"),
+        (lambda: wide_random(600, 700, 5), 601, "positional"),
+    ],
+    ids=["sunflower", "wide-random"],
+)
+def test_a_uniformity_near_the_sample_size_counts_without_the_tail_index(build, k, branch, monkeypatch):
+    """With r close to k, the tail index would probe C(k, r - 1) tuples of
+    r - 1 vertices each a sample: seconds a sample at r = 16,000 (20
+    edges, k = r) or r = 600 (700 edges, k = r + 1).  The kernel scans or
+    meets the positional sets instead, so three samples take well under a
+    second, and the hits are the replayed samples counted by the
+    definition.  A sample holding an edge counts as the definition too."""
+    g = build()
+    made = record_bitsets(monkeypatch)
+    start = time.perf_counter()
+    est = estimate_point(g, k, 0, 3, seed=1)
+    assert time.perf_counter() - start < 1.0
+    assert "tail" not in made and len(made) == {"scan": 0, "positional": 1}[branch]
+    replay = new_generator(1)
+    assert est.hits == sum(induced_edge_count(g, sample_ordered(replay, g.n, k)) == 0 for _ in range(3))
+    edge = set(g.edges[0])
+    u = [*edge, *[v for v in range(1, g.n + 1) if v not in edge][: k - len(edge)]]
+    assert induced_edge_count(g, u) == _edge_counter(g, k)(u) >= 1
 
 
 def test_a_star_on_a_million_vertices_counts_by_positional_frozensets(monkeypatch):
