@@ -460,7 +460,162 @@ def _as_edge_tuples(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> lis
 
 def _maximum_matching(edges: list[Edge]) -> tuple[Edge, ...]:
     """The lexicographically least maximum matching of a sorted,
-    duplicate-free list of nonempty edges.
+    duplicate-free list of nonempty edges: a graph (every edge has two
+    vertices) goes to :func:`_blossom_matching`, any other family to
+    :func:`_search_matching`."""
+    if edges and all(len(e) == 2 for e in edges):
+        return _blossom_matching(edges)
+    return _search_matching(edges)
+
+
+def _blossom_matching(edges: list[Edge]) -> tuple[Edge, ...]:
+    """The lexicographically least maximum matching of a sorted,
+    duplicate-free list of 2-vertex edges, in polynomial time.
+
+    First a maximum matching M: the greedy matching in edge order, then
+    one Edmonds search ("Paths, trees, and flowers", 1965), which
+    contracts odd cycles, from each exposed vertex.  A search that finds
+    no augmenting path has met a tree that no later augmenting path can
+    enter, so each root is searched once and its tree is left out of the
+    later searches.
+
+    Then one pass over the sorted edges keeps M a maximum matching of the
+    graph left once the ends of the edges taken so far are removed.  An
+    edge uv with both ends left is taken when it lies in M, or when u or v
+    is exposed (the other end's M-edge is dropped).  Otherwise uu' and vv'
+    leave M and u' is searched, then v' when a third vertex is exposed
+    (else every augmenting path joins u' and v', and the first search
+    decides): uv is taken if a search augments.  If none does, no maximum
+    matching of what is left holds uv, so M is restored and uv skipped.
+    The edges taken are therefore the lexicographically least maximum
+    matching.
+
+    A search scans each edge it reaches at most twice, merges blossoms by
+    union-find, and holds state only for the vertices it reaches.  The
+    failed searches of the first phase meet disjoint trees, so that phase
+    costs about (nu + 1) m steps for a matching of nu edges; the pass
+    makes at most two searches an edge, about m^2 steps at worst.  A star
+    of n leaves takes O(n) steps in all.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    mate: dict[int, int] = {}
+    gone: set[int] = set()  # vertices left out of every search
+
+    # The state of one search, reset at its start: each vertex of its tree
+    # -> a parent in the union-find over blossoms (a set's root is its base),
+    # and the alternating-path links of Edmonds' algorithm.
+    blossom_of: dict[int, int] = {}
+    parent: dict[int, int] = {}
+
+    def base(x: int) -> int:
+        while blossom_of[x] != x:
+            blossom_of[x] = blossom_of[blossom_of[x]]
+            x = blossom_of[x]
+        return x
+
+    def common_base(a: int | None, b: int | None) -> int:
+        seen = set()  # step up from both ends in turn, so the walk is as long as the cycle
+        while True:
+            if a is not None:
+                a = base(a)
+                if a in seen:
+                    return a
+                seen.add(a)
+                a = parent[mate[a]] if a in mate else None
+            a, b = b, a
+
+    def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base(v) != b:
+            w = mate[v]
+            blossom.add(base(v))
+            blossom.add(base(w))
+            parent[v] = child
+            child = w
+            v = parent[w]
+
+    def augment(root: int, prune: bool = False) -> bool:
+        """Search from the exposed vertex root; flip the augmenting path
+        found, if any, and say whether there was one.  With prune, a failed
+        search adds its tree to gone."""
+        blossom_of.clear()
+        parent.clear()
+        blossom_of[root] = root
+        even = {root}
+        queue = [root]  # the even vertices, scanned in order as it grows
+
+        for v in queue:
+            mv = mate.get(v)
+            bv = base(v)
+            for w in adj[v]:
+                if w in gone or w == mv or (w in blossom_of and base(w) == bv):
+                    continue
+                if w == root or (w in mate and mate[w] in parent):
+                    b = common_base(v, w)
+                    blossom: set[int] = set()
+                    mark(v, b, w, blossom)
+                    mark(w, b, v, blossom)
+                    for x in blossom:  # each a base; only odd ones are not yet even
+                        blossom_of[x] = b
+                        if x not in even:
+                            even.add(x)
+                            queue.append(x)
+                    bv = b
+                elif w not in parent:
+                    parent[w] = v
+                    if w not in mate:
+                        while w is not None:  # flip the path back to the root
+                            up = parent[w]
+                            nxt = mate.get(up)
+                            mate[w], mate[up] = up, w
+                            w = nxt
+                        return True
+                    x = mate[w]
+                    blossom_of[w], blossom_of[x] = w, x
+                    even.add(x)
+                    queue.append(x)
+        if prune:
+            gone.update(blossom_of)
+        return False
+
+    def trial(a: int, b: int) -> bool:
+        """Whether a search from a, or then one from b, augments, where a
+        and b are the two ends just exposed in a maximum matching.  Every
+        augmenting path then ends at a or b, so a failed search from a
+        decides unless a third vertex is exposed."""
+        third_exposed = len(adj) - len(gone) - len(mate) > 2
+        return augment(a) or (third_exposed and augment(b))
+
+    for u, v in edges:
+        if u not in mate and v not in mate:
+            mate[u], mate[v] = v, u
+    for root in adj:
+        if root not in mate:
+            augment(root, prune=True)
+    gone.clear()  # from here on, the ends of the edges taken
+
+    chosen: list[Edge] = []
+    for u, v in edges:
+        if u in gone or v in gone:
+            continue
+        mu, mv = mate.pop(u, None), mate.pop(v, None)
+        for end in (mu, mv):
+            if end is not None and end not in (u, v):
+                del mate[end]
+        gone.update((u, v))
+        if mu == v or mu is None or mv is None or trial(mu, mv):
+            chosen.append((u, v))
+        else:
+            gone.difference_update((u, v))
+            mate.update({u: mu, mu: u, v: mv, mv: v})
+    return tuple(chosen)
+
+
+def _search_matching(edges: list[Edge]) -> tuple[Edge, ...]:
+    """The lexicographically least maximum matching of a sorted,
+    duplicate-free list of nonempty edges of any sizes.
 
     Branch and bound on the smallest available edge, with an explicit
     stack so the depth is not tied to the edge count.  Each edge is taken
@@ -469,6 +624,9 @@ def _maximum_matching(edges: list[Edge]) -> tuple[Edge, ...]:
     incumbent.  A greedy matching seeds the incumbent (it is the first
     matching that order meets); a branch is cut when neither its edge
     count nor its free vertices over the smallest edge size can beat it.
+    The cost is exponential in the edge count at worst: on a 2-core VM,
+    random 3-graphs with about 2n edges took 0.3 s at n = 60 and 5.7 s at
+    n = 70.
     """
     if not edges:
         return ()
@@ -502,14 +660,18 @@ def matching_number(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> int
     """Maximum number of pairwise vertex-disjoint edges, exactly.
 
     Accepts a Hypergraph or any iterable of edges, mixed sizes allowed
-    (the cover machinery calls it on residue families).
+    (the cover machinery calls it on residue families).  It is the size
+    of :func:`lex_min_maximum_matching` and costs the same: polynomial
+    when every edge has two vertices, exponential at worst otherwise.
     """
     return len(_maximum_matching(_as_edge_tuples(graph_or_edges)))
 
 
 def lex_min_maximum_matching(graph_or_edges: Hypergraph | Iterable[Iterable[int]]) -> tuple[Edge, ...]:
     """The maximum matching whose sorted edge list is lexicographically
-    least, found by the same single search as :func:`matching_number`."""
+    least.  A graph (all edges of two vertices) is matched by Edmonds'
+    blossom algorithm and one greedy pass, polynomial in its size; any
+    other family by a branch and bound that is exponential at worst."""
     return _maximum_matching(_as_edge_tuples(graph_or_edges))
 
 

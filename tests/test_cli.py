@@ -27,6 +27,7 @@ from edgestats.hypergraph import (
     from_edges,
     induced_edge_count,
     parse_hg,
+    random_hypergraph,
 )
 from edgestats.multilinear import MultilinearPoly, format_mlp, parse_mlp
 from edgestats.rng import new_generator, rand_below, sample_ordered
@@ -701,8 +702,26 @@ UNPRINTABLE = {
 }
 
 
+# Cover runs whose residue family is a random graph on 200 vertices, and
+# the exit code of each: exact matching on it must not take exponential
+# time.
+MATCHED_RESIDUES = {
+    "cover verify --input {fan_200} --pivot 1 --m 100": 1,
+    "cover run --input {fan_200} --m 100": 0,
+}
+
+
+@pytest.fixture(scope="module")
+def fan_200_text():
+    """A 3-graph on 201 vertices, {1} with each edge of a random graph on
+    200 vertices shifted up by one: pivot {1} leaves that graph (403
+    edges, matching number 98) as a residue family."""
+    graph = random_hypergraph(200, 2, Fraction(4, 199), 0)
+    return format_hg(from_edges(201, 3, [(1, a + 1, b + 1) for a, b in graph.edges]))
+
+
 @pytest.fixture
-def sweep_inputs(tmp_path):
+def sweep_inputs(tmp_path, fan_200_text):
     leaves = 1500
     texts = {
         "c5": "5 2\n1 2\n2 3\n3 4\n4 5\n1 5\n",
@@ -732,6 +751,7 @@ def sweep_inputs(tmp_path):
         "two_20000": "2 20000\n",
         "huge_coefficient": f"3\n{10**4000} : 1 2\n1 : 3\n",
         "single": "2\n1 : 1\n",
+        "fan_200": fan_200_text,
     }
     b = 2**10000 + 1
     paths = {"dir": str(tmp_path), "out": str(tmp_path / "out.hg"), "long_p": f"{b // 3}/{b}"}
@@ -798,6 +818,8 @@ EDGE_CASES = [
     "estimate --input {huge_n} --k 2 --level 1 --samples 10 --seed 0",
     # a pivot that misses an edge
     "cover verify --input {c5} --pivot 1,2 --m 1",
+    # exact matching on a 200-vertex residue graph, polynomial in its size
+    *MATCHED_RESIDUES,
     # a junta past the 2^14 arity cap, refused before its table is built
     "anticonc junta-tv --input {wide} --n 60 --k 2",
     # a gamma that JSON cannot carry
@@ -843,6 +865,15 @@ def test_oversized_work_is_refused_before_it_starts(argv, sweep_inputs, capsys):
     assert out == ""
     assert "cap" in err
     assert not (Path(sweep_inputs["dir"]) / "out.hg").exists()
+
+
+@pytest.mark.parametrize("argv", MATCHED_RESIDUES)
+def test_a_cover_over_a_200_vertex_residue_graph_finishes_at_once(argv, sweep_inputs, capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli([word.format(**sweep_inputs) for word in argv.split()], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == MATCHED_RESIDUES[argv]
+    json.loads(out)
 
 
 @pytest.mark.parametrize("side, r", [("", "0"), ("", "-3"), ("1 2", "0")])

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import re
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 from edgestats import hypergraph
 from edgestats.hypergraph import (
     Hypergraph,
+    _blossom_matching,
     _coin_edges,
     _edge_counter,
+    _search_matching,
     _side_runs,
     _tail_index,
     construct_lift,
@@ -189,6 +192,88 @@ def test_lex_min_matching_prefers_early_edges_even_when_forced_elsewhere():
     # matching must skip it.
     g = from_edges(4, 2, [[1, 2], [1, 3], [2, 4]])
     assert lex_min_maximum_matching(g) == ((1, 3), (2, 4))
+
+
+def test_a_star_is_matched_in_linear_time():
+    leaves = 20_000
+    star = from_edges(leaves + 1, 2, [(1, v) for v in range(2, leaves + 2)])
+    start = time.perf_counter()
+    assert lex_min_maximum_matching(star) == ((1, 2),)
+    assert time.perf_counter() - start < 1
+
+
+@given(st.integers(0, 2**30), st.integers(1, 14), st.sampled_from([Fraction(1, 6), Fraction(2, 3)]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_blossom_kernel_matches_the_search_on_graphs(seed, n, p):
+    edges = list(random_hypergraph(n, 2, p, seed).edges)
+    assert _blossom_matching(edges) == _search_matching(edges)
+
+
+def _relabelled(edges, rng):
+    """The same graph under a seeded permutation of its vertices, so the
+    greedy start and the edge order differ from draw to draw."""
+    vertices = sorted({v for e in edges for v in e})
+    image = dict(zip(vertices, (vertices[i - 1] for i in sample_ordered(rng, len(vertices), len(vertices)))))
+    return sorted({tuple(sorted((image[a], image[b]))) for a, b in edges})
+
+
+PETERSEN = (
+    [(i, i % 5 + 1) for i in range(1, 6)]
+    + [(i, i + 5) for i in range(1, 6)]
+    + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+)
+BLOSSOM_SHAPES = {
+    "petersen": (PETERSEN, 5),
+    "five-cycle-with-stem": ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (5, 6)], 3),
+    "k5": (list(itertools.combinations(range(1, 6), 2)), 2),
+    "k6": (list(itertools.combinations(range(1, 7), 2)), 3),
+    "two-triangles-joined": ([(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)], 3),
+}
+
+
+@pytest.mark.parametrize("name", BLOSSOM_SHAPES)
+def test_named_blossom_shapes_match_the_oracles_under_drawn_relabellings(name):
+    edges, nu = BLOSSOM_SHAPES[name]
+    expected = brute_matching(edges)
+    assert len(expected) == nu
+    assert _blossom_matching(sorted(edges)) == expected
+    rng = new_generator(31)
+    for _ in range(40):
+        relabelled = _relabelled(edges, rng)
+        got = _blossom_matching(relabelled)
+        assert len(got) == nu
+        assert got == _search_matching(relabelled)
+
+
+def _kuhn_matching_number(left, adj):
+    """Kuhn's augmenting-path algorithm for a bipartite graph: an oracle
+    that shares nothing with the blossom kernel."""
+    owner = {}
+
+    def claim(u, seen):
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in owner or claim(owner[v], seen):
+                    owner[v] = u
+                    return True
+        return False
+
+    return sum(claim(u, set()) for u in left)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_blossom_kernel_matches_kuhn_on_bipartite_graphs(seed):
+    rng = new_generator(seed)
+    left, right = range(1, 101), range(101, 201)
+    p = Fraction(1 + rand_below(rng, 4), 100)  # mean degree 1 to 4
+    edges = [(a, b) for a in left for b in right if bernoulli(rng, p)]
+    adj = {a: [b for x, b in edges if x == a] for a in left}
+    nu = _kuhn_matching_number(left, adj)
+    chosen = lex_min_maximum_matching(edges)
+    assert matching_number(edges) == len(chosen) == nu
+    assert set(chosen) <= set(edges)
+    assert len({v for e in chosen for v in e}) == 2 * nu
 
 
 # ---------------------------------------------------------------------------
